@@ -17,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <thread>
 
 #include <span>
@@ -34,6 +33,7 @@
 #include "core/sharded_pipeline.h"
 #include "net/tcp_ingest_server.h"
 #include "stream/channel.h"
+#include "stream/queue.h"
 #include "stream/frame.h"
 #include "stream/rate.h"
 #include "va/situation.h"
@@ -229,35 +229,48 @@ void BM_FullArchitecture(benchmark::State& state) {
 BENCHMARK(BM_FullArchitecture)->Unit(benchmark::kMillisecond);
 
 // The isolated hand-off cost of one inter-stage hop: push `batch` items
-// through a StageChannel and pop them back, single-threaded. Running both
-// sides on one thread measures the *uncontended* per-item fabric cost —
-// exactly the price every window hand-off pays before any cross-core
-// effects — and is reproducible on single-core CI hosts where a two-thread
-// arrangement would measure the scheduler instead. The spsc:1 arm is the
-// lock-free ring (atomic store per publish, zero notifies when nobody
-// waits); spsc:0 is the mutex+condvar reference arm (two lock acquisitions
-// per cycle minimum). CI gates the spsc:1 arm's items_per_s against the
-// committed baseline (tools/check_bench_regression.py).
-void BM_QueueHop(benchmark::State& state) {
-  const bool spsc = state.range(0) != 0;
-  const size_t batch = static_cast<size_t>(state.range(1));
-  StageChannel<uint64_t> channel(
-      spsc ? QueueFabric::kSpscRing : QueueFabric::kMutex, /*capacity=*/256);
+// through a queue and pop them back, single-threaded. Running both sides on
+// one thread measures the *uncontended* per-item hand-off cost — exactly
+// the price every window hand-off pays before any cross-core effects — and
+// is reproducible on single-core CI hosts where a two-thread arrangement
+// would measure the scheduler instead. The spsc:1 arm is the pipeline's
+// StageChannel (lock-free ring: atomic store per publish, zero notifies
+// when nobody waits); spsc:0 is the mutex+condvar BoundedQueue the query
+// fan-out uses (two lock acquisitions per cycle minimum). CI gates the
+// spsc:1 arm's items_per_s against the committed baseline
+// (tools/check_bench_regression.py).
+template <typename Queue>
+uint64_t RunQueueHop(benchmark::State& state, Queue* queue, size_t batch) {
   std::vector<uint64_t> out;
   out.reserve(batch);
   uint64_t items = 0;
   for (auto _ : state) {
-    for (size_t i = 0; i < batch; ++i) channel.Push(i);
+    for (size_t i = 0; i < batch; ++i) queue->Push(i);
     out.clear();
     size_t got = 0;
-    while (got < batch) got += channel.PopBatch(&out, batch - got);
+    while (got < batch) got += queue->PopBatch(&out, batch - got);
     benchmark::DoNotOptimize(out.data());
     items += batch;
   }
+  return items;
+}
+
+void BM_QueueHop(benchmark::State& state) {
+  const bool spsc = state.range(0) != 0;
+  const size_t batch = static_cast<size_t>(state.range(1));
+  constexpr size_t kCapacity = 256;
+  uint64_t items = 0;
+  if (spsc) {
+    StageChannel<uint64_t> channel(kCapacity);
+    items = RunQueueHop(state, &channel, batch);
+    state.counters["notifies"] =
+        static_cast<double>(channel.stats().notifies);
+  } else {
+    BoundedQueue<uint64_t> queue(kCapacity);
+    items = RunQueueHop(state, &queue, batch);
+  }
   state.counters["items_per_s"] = benchmark::Counter(
       static_cast<double>(items), benchmark::Counter::kIsRate);
-  state.counters["notifies"] =
-      static_cast<double>(channel.stats().notifies);
 }
 BENCHMARK(BM_QueueHop)
     ->ArgNames({"spsc", "batch"})
@@ -269,9 +282,7 @@ BENCHMARK(BM_QueueHop)
     ->Args({0, 64})
     ->Unit(benchmark::kMicrosecond);
 
-// The tentpole scaling axis: the same architecture across 1..N MMSI shards,
-// on either hand-off fabric (fabric:1 = lock-free SPSC rings, fabric:0 =
-// the mutex reference arm — identical output, different hop cost).
+// The tentpole scaling axis: the same architecture across 1..N MMSI shards.
 // Near-linear growth of lines_per_s demonstrates that every stateful stage
 // partitions cleanly by vessel (AISdb-style partitioning, arXiv:2407.08082).
 void BM_ShardedArchitecture(benchmark::State& state) {
@@ -282,7 +293,6 @@ void BM_ShardedArchitecture(benchmark::State& state) {
   uint64_t lines = 0;
   for (auto _ : state) {
     PipelineConfig config;
-    config.lock_free_fabric = state.range(1) != 0;
     ShardedPipeline::Options opts;
     opts.num_shards = static_cast<size_t>(state.range(0));
     ShardedPipeline pipeline(config, opts, &world.zones(), &weather,
@@ -297,13 +307,11 @@ void BM_ShardedArchitecture(benchmark::State& state) {
       static_cast<double>(lines), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ShardedArchitecture)
-    ->ArgNames({"shards", "fabric"})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({2, 0})
-    ->Args({4, 0})
+    ->ArgNames({"shards"})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
@@ -414,70 +422,6 @@ BENCHMARK(BM_EnrichmentSideStage)
     ->Args({2, 1})
     ->Args({4, 0})
     ->Args({4, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-// The pair-stage axis: arg0 = pair_threads (grid-cell workers for the
-// rendezvous/collision rules), arg1 = traffic density multiplier. Pairwise
-// proximity analytics scale quadratically with density — exactly the cost
-// the grid partitioner spreads — so the interesting read is how the
-// pair_threads speedup grows with density. Counters surface the grid's
-// occupancy/skew so a flat speedup is diagnosable (one hot cell ⇒ skew→1).
-ScenarioConfig F2DensityConfig(int density) {
-  ScenarioConfig config = F2Config();
-  config.seed = 20 + density;
-  config.duration = 90 * kMillisPerMinute;
-  config.transit_vessels *= density;
-  config.fishing_vessels *= density;
-  config.loiter_vessels *= density;
-  config.rendezvous_pairs *= density;
-  config.perfect_reception = true;  // isolate compute from reception loss
-  return config;
-}
-
-void BM_PairStageGrid(benchmark::State& state) {
-  const World& world = bench::SharedWorld();
-  // Per-density scenario cache (SharedScenario caches only one config).
-  static std::map<int, ScenarioOutput> scenarios;
-  const int density = static_cast<int>(state.range(1));
-  auto [it, inserted] = scenarios.try_emplace(density);
-  if (inserted) it->second = GenerateScenario(world, F2DensityConfig(density));
-  const ScenarioOutput& scenario = it->second;
-
-  uint64_t events_out = 0;
-  uint64_t lines = 0;
-  uint64_t parallel_windows = 0;
-  double max_cell_share = 0.0;
-  for (auto _ : state) {
-    PipelineConfig config;
-    config.pair_threads = static_cast<size_t>(state.range(0));
-    ShardedPipeline::Options opts;
-    opts.num_shards = 2;
-    ShardedPipeline pipeline(config, opts, &world.zones(), nullptr, nullptr,
-                             nullptr);
-    const auto events = pipeline.Run(scenario.nmea);
-    events_out = events.size();
-    lines += scenario.nmea.size();
-    parallel_windows = pipeline.metrics().pair_stage.parallel_windows;
-    max_cell_share = pipeline.metrics().pair_stage.max_cell_share;
-    benchmark::DoNotOptimize(events);
-  }
-  state.counters["events"] = static_cast<double>(events_out);
-  state.counters["lines_per_s"] = benchmark::Counter(
-      static_cast<double>(lines), benchmark::Counter::kIsRate);
-  state.counters["par_windows"] = static_cast<double>(parallel_windows);
-  state.counters["cell_share"] = max_cell_share;
-}
-BENCHMARK(BM_PairStageGrid)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({1, 2})
-    ->Args({2, 2})
-    ->Args({4, 2})
-    ->Args({1, 3})
-    ->Args({4, 3})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -43,12 +43,6 @@ int main() {
   WeatherProvider weather(7);
   PipelineConfig pipeline_config;
   pipeline_config.enriched_output_capacity = 1u << 17;  // drain at the end
-  // The vessel-pair rules (rendezvous, collision risk) also run in
-  // parallel, sharded across grid cells — same event stream, byte for byte.
-  // 0 = size the pool to the host topology; floor of 2 so the grid engages
-  // even on single-core demo hosts.
-  pipeline_config.pair_threads =
-      std::max<size_t>(2, ResolveTopologyCount(0));
   ShardedPipeline::Options shard_options;
   shard_options.num_shards = 0;  // 0 = one shard per hardware thread
   ShardedPipeline pipeline(pipeline_config, shard_options, &world.zones(),
@@ -85,16 +79,10 @@ int main() {
               static_cast<unsigned long long>(m.alerts));
   std::printf("  vessels tracked      : %zu (across %zu store partitions)\n",
               store.VesselCount(), store.partition_count());
-  std::printf("  pair stage           : %llu/%llu windows grid-parallel "
-              "(%.1f cells/window, heaviest cell %.0f %%)\n",
-              static_cast<unsigned long long>(m.pair_stage.parallel_windows),
-              static_cast<unsigned long long>(m.pair_stage.windows),
-              m.pair_stage.MeanCellsPerWindow(),
-              100.0 * m.pair_stage.max_cell_share);
 
   // Per-hop hand-off health: how deep each stage's channel backed up, how
   // often a side had to wait, and how many items each consumer wake-up
-  // carried (the lock-free fabric moves work in batches, not item-by-item).
+  // carried (the lock-free rings move work in batches, not item-by-item).
   const auto print_hop = [](const char* name, const QueueHopStats& hop) {
     std::printf("  %-20s : %llu items, depth high-water %zu, "
                 "waits %llu/%llu, %.1f items/batch\n",
@@ -104,9 +92,8 @@ int main() {
                 static_cast<unsigned long long>(hop.pop_waits),
                 hop.MeanBatch());
   };
-  std::printf("\nqueue hops (lock-free SPSC fabric)\n");
+  std::printf("\nqueue hops (lock-free SPSC rings)\n");
   print_hop("coord -> shard", m.shard_hop);
-  print_hop("pair -> cell worker", m.pair_hop);
   print_hop("shard -> enrichment", m.enrichment_stage.hop);
 
   // Fault-tolerance health: every record that left the healthy path is on

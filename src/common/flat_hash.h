@@ -17,10 +17,9 @@
 ///    is reset to `V{}`.
 ///  * Iteration order is the probe-slot order — **unordered and dependent on
 ///    insertion history**. Callers whose *output* depends on order (event
-///    emission, state export) must collect keys and sort explicitly; see
-///    `PairEventEngine::ExportVessels` for the pattern.
-///  * `Clear()` keeps the allocated capacity (the pooling contract used by
-///    the pair-stage replica pool).
+///    emission) must collect keys and sort explicitly; see
+///    `PairEventEngine::Flush` for the pattern.
+///  * `Clear()` keeps the allocated capacity.
 
 #include <algorithm>
 #include <cassert>

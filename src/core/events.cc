@@ -407,22 +407,18 @@ void PairEventEngine::CheckRendezvous(const PairObservation& obs,
     pair.last_seen = t;
     pair.where = obs.point.position;
     if (!pair.reported && t - pair.since >= options_.rendezvous_min_duration) {
-      // The `reported` latch flips in every replica that tracks this pair;
-      // only the owner replica (emit filter) appends the event.
       pair.reported = true;
-      if (MayEmit(obs.mmsi, other)) {
-        DetectedEvent ev;
-        ev.type = EventType::kRendezvous;
-        ev.start = pair.since;
-        ev.end = t;
-        ev.vessel_a = std::min(obs.mmsi, other);
-        ev.vessel_b = std::max(obs.mmsi, other);
-        ev.where = pair.where;
-        ev.severity = 0.8;
-        ev.detected_at = t;
-        out->push_back(ev);
-        ++stats_.events_out;
-      }
+      DetectedEvent ev;
+      ev.type = EventType::kRendezvous;
+      ev.start = pair.since;
+      ev.end = t;
+      ev.vessel_a = std::min(obs.mmsi, other);
+      ev.vessel_b = std::max(obs.mmsi, other);
+      ev.where = pair.where;
+      ev.severity = 0.8;
+      ev.detected_at = t;
+      out->push_back(ev);
+      ++stats_.events_out;
     }
   }
 }
@@ -469,20 +465,17 @@ void PairEventEngine::CheckCollision(const PairObservation& obs,
     const CpaResult cpa = ComputeCpa(self, target);
     if (cpa.converging && cpa.distance_m < options_.cpa_threshold_m &&
         cpa.tcpa_s < options_.tcpa_horizon_s) {
-      // The re-alert clock advances in every replica; only the owner emits.
       collision_alerts_[key] = t;
-      if (MayEmit(obs.mmsi, other)) {
-        DetectedEvent ev;
-        ev.type = EventType::kCollisionRisk;
-        ev.start = ev.detected_at = t;
-        ev.end = t + static_cast<DurationMs>(cpa.tcpa_s * kMillisPerSecond);
-        ev.vessel_a = std::min(obs.mmsi, other);
-        ev.vessel_b = std::max(obs.mmsi, other);
-        ev.where = obs.point.position;
-        ev.severity = 0.9;
-        out->push_back(ev);
-        ++stats_.events_out;
-      }
+      DetectedEvent ev;
+      ev.type = EventType::kCollisionRisk;
+      ev.start = ev.detected_at = t;
+      ev.end = t + static_cast<DurationMs>(cpa.tcpa_s * kMillisPerSecond);
+      ev.vessel_a = std::min(obs.mmsi, other);
+      ev.vessel_b = std::max(obs.mmsi, other);
+      ev.where = obs.point.position;
+      ev.severity = 0.9;
+      out->push_back(ev);
+      ++stats_.events_out;
     }
   }
 }
@@ -513,7 +506,6 @@ void PairEventEngine::Flush(std::vector<DetectedEvent>* out) {
     if (!pair.reported &&
         pair.last_seen - pair.since >= options_.rendezvous_min_duration) {
       pair.reported = true;
-      if (!MayEmit(PairLo(key), PairHi(key))) continue;
       DetectedEvent ev;
       ev.type = EventType::kRendezvous;
       ev.start = pair.since;
@@ -527,16 +519,6 @@ void PairEventEngine::Flush(std::vector<DetectedEvent>* out) {
       ++stats_.events_out;
     }
   }
-}
-
-void PairEventEngine::Clear() {
-  vessels_.Clear();
-  rendezvous_pairs_.Clear();
-  collision_alerts_.Clear();
-  live_.Clear();
-  stats_ = Stats{};
-  emit_filter_ = nullptr;
-  prune_watermark_ = kInvalidTimestamp;
 }
 
 size_t PairEventEngine::PruneAfterWindow(Timestamp window_max_t) {
@@ -587,78 +569,6 @@ size_t PairEventEngine::PruneAfterWindow(Timestamp window_max_t) {
     live_.Remove(mmsi);
   }
   return pruned;
-}
-
-// --- Grid-parallel state transplant ----------------------------------------
-
-void PairEventEngine::ExportVessels(std::vector<VesselSnapshot>* out) {
-  key_scratch_.clear();
-  vessels_.ForEach(
-      [this](Mmsi mmsi, const VesselState&) { key_scratch_.push_back(mmsi); });
-  std::sort(key_scratch_.begin(), key_scratch_.end());
-  out->reserve(out->size() + key_scratch_.size());
-  for (uint64_t key : key_scratch_) {
-    const Mmsi mmsi = static_cast<Mmsi>(key);
-    const VesselState& state = *vessels_.Find(mmsi);
-    // Entries are only ever created by Ingest, which sets `last`
-    // immediately, so every exported snapshot carries a real position.
-    out->push_back(VesselSnapshot{mmsi, state.last, state.in_port_area});
-  }
-}
-
-bool PairEventEngine::GetVessel(Mmsi mmsi, VesselSnapshot* out) const {
-  const VesselState* state = vessels_.Find(mmsi);
-  if (state == nullptr || !state->has_last) return false;
-  *out = VesselSnapshot{mmsi, state->last, state->in_port_area};
-  return true;
-}
-
-void PairEventEngine::ExportRendezvous(
-    std::vector<RendezvousSnapshot>* out) {
-  key_scratch_.clear();
-  rendezvous_pairs_.ForEach(
-      [this](uint64_t key, const PairState&) { key_scratch_.push_back(key); });
-  std::sort(key_scratch_.begin(), key_scratch_.end());
-  out->reserve(out->size() + key_scratch_.size());
-  for (uint64_t key : key_scratch_) {
-    const PairState& pair = *rendezvous_pairs_.Find(key);
-    out->push_back(RendezvousSnapshot{PairLo(key), PairHi(key), pair.since,
-                                      pair.last_seen, pair.where,
-                                      pair.reported});
-  }
-}
-
-void PairEventEngine::ExportCollisions(
-    std::vector<CollisionSnapshot>* out) {
-  key_scratch_.clear();
-  collision_alerts_.ForEach(
-      [this](uint64_t key, const Timestamp&) { key_scratch_.push_back(key); });
-  std::sort(key_scratch_.begin(), key_scratch_.end());
-  out->reserve(out->size() + key_scratch_.size());
-  for (uint64_t key : key_scratch_) {
-    out->push_back(CollisionSnapshot{PairLo(key), PairHi(key),
-                                     *collision_alerts_.Find(key)});
-  }
-}
-
-void PairEventEngine::RestoreVessel(const VesselSnapshot& snapshot) {
-  VesselState& state = vessels_[snapshot.mmsi];
-  state.last = snapshot.last;
-  state.has_last = true;
-  state.in_port_area = snapshot.in_port_area;
-  live_.Upsert(snapshot.mmsi, snapshot.last.position);
-}
-
-void PairEventEngine::RestoreRendezvous(const RendezvousSnapshot& snapshot) {
-  PairState& pair = rendezvous_pairs_[PackPair(snapshot.a, snapshot.b)];
-  pair.since = snapshot.since;
-  pair.last_seen = snapshot.last_seen;
-  pair.where = snapshot.where;
-  pair.reported = snapshot.reported;
-}
-
-void PairEventEngine::RestoreCollision(const CollisionSnapshot& snapshot) {
-  collision_alerts_[PackPair(snapshot.a, snapshot.b)] = snapshot.last_alert;
 }
 
 }  // namespace marlin

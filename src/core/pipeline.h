@@ -38,7 +38,6 @@
 #include "context/zones.h"
 #include "core/enrichment.h"
 #include "core/events.h"
-#include "core/pair_grid.h"
 #include "core/reconstruction.h"
 #include "core/shard.h"
 #include "core/supervisor.h"
@@ -100,23 +99,6 @@ struct PipelineConfig {
   /// latency bounded on low-rate feeds, where filling `window_lines` could
   /// take arbitrarily long. 0 disables the time trigger.
   DurationMs window_time_ms = kMillisPerMinute;
-  /// Grid-cell worker count for the vessel-pair stage (rendezvous /
-  /// collision) in `ShardedPipeline`. 0 sizes the pool to the host
-  /// topology (`std::thread::hardware_concurrency`); 1 keeps the pair
-  /// stage sequential on the coordinator. The emitted event stream is
-  /// byte-identical either way (see core/pair_grid.h). `MaritimePipeline`
-  /// is the single-threaded reference and ignores this.
-  size_t pair_threads = 1;
-  /// Grid pitch in metres for the parallel pair stage; 0 sizes cells to the
-  /// max pair-interaction radius (`events.collision_scan_radius_m`).
-  double pair_cell_size_m = 0.0;
-  /// Inter-stage hand-off fabric for `ShardedPipeline`: true runs every
-  /// single-producer hop (coordinator → shard, shard → enrichment
-  /// side-stage, pair coordinator → cell worker) on the lock-free
-  /// `SpscRing`; false swaps all of them back to the mutex+condvar
-  /// `BoundedQueue` reference arm (stream/channel.h). Output is identical
-  /// either way — the fabric only changes hand-off cost.
-  bool lock_free_fabric = true;
   /// Fault tolerance for `ShardedPipeline` workers (core/supervisor.h):
   /// crash containment, replay-based restart, restart budget, degraded
   /// counted-drop mode. `MaritimePipeline` is single-threaded and has no
@@ -198,16 +180,10 @@ struct PipelineMetrics {
   /// latency, and the per-source (zones / weather / registry) share of the
   /// join work.
   SideStageStats enrichment_stage;
-  /// Pair-stage grid health: parallel vs fallback windows, cell occupancy,
-  /// halo traffic, skew. All zero when the pair stage runs sequentially.
-  PairStageStats pair_stage;
   /// Coordinator → shard-worker hop: command-queue depth high-water,
   /// producer/consumer waits, pop batch-size histogram — merged across the
   /// per-shard channels. Zero in the single-threaded pipeline.
   QueueHopStats shard_hop;
-  /// Pair coordinator → cell-worker hop, merged across the per-worker
-  /// channels. Zero when the pair stage runs sequentially.
-  QueueHopStats pair_hop;
   /// Anomaly & integrity stage counters (integrity scorer + behaviour-change
   /// detector), merged across shards. All zero when
   /// `PipelineConfig::enable_anomaly` is false.

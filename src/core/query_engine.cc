@@ -76,7 +76,7 @@ QueryEngine::QueryEngine(std::vector<const ShardArchive*> partitions)
 QueryEngine::QueryEngine(std::vector<const ShardArchive*> partitions,
                          const Options& options)
     : options_(options),
-      channel_(QueueFabric::kMutex, options.queue_capacity) {
+      queue_(std::max<size_t>(1, options.queue_capacity)) {
   for (const ShardArchive* p : partitions) {
     if (p != nullptr) partitions_.push_back(p);
   }
@@ -87,12 +87,23 @@ QueryEngine::QueryEngine(std::vector<const ShardArchive*> partitions,
 }
 
 QueryEngine::~QueryEngine() {
-  channel_.Close();
+  queue_.Close();
   for (std::thread& w : workers_) w.join();
 }
 
+QueueHopStats QueryEngine::hop_stats() const {
+  QueueHopStats s;
+  s.pushed = pushed_.load(std::memory_order_relaxed);
+  s.popped = popped_.load(std::memory_order_relaxed);
+  s.push_waits = push_waits_.load(std::memory_order_relaxed);
+  s.depth_high_water = depth_high_water_.load(std::memory_order_relaxed);
+  s.batch_hist[0] = s.popped;
+  return s;
+}
+
 void QueryEngine::WorkerLoop() {
-  while (auto task = channel_.Pop()) {
+  while (auto task = queue_.Pop()) {
+    popped_.fetch_add(1, std::memory_order_relaxed);
     ScanPartition(*task->snapshot, *task->spec, task->rows, task->stats);
     task->done->count_down();
   }
@@ -198,12 +209,20 @@ QueryResult QueryEngine::Execute(const QuerySpec& spec) const {
     for (size_t i = 0; i < snaps.size(); ++i) {
       Task task{snaps[i].get(), &resolved, &partition_rows[i],
                 &partition_stats[i], &done};
-      if (!channel_.Push(std::move(task))) {
-        // Channel closed (destruction race): scan inline so the latch and
+      size_t depth = 0;
+      bool blocked = false;
+      if (!queue_.Push(std::move(task), &depth, &blocked)) {
+        // Queue closed (destruction race): scan inline so the latch and
         // the result stay correct.
         ScanPartition(*snaps[i], resolved, &partition_rows[i],
                       &partition_stats[i]);
         done.count_down();
+        continue;
+      }
+      pushed_.fetch_add(1, std::memory_order_relaxed);
+      if (blocked) push_waits_.fetch_add(1, std::memory_order_relaxed);
+      if (depth > depth_high_water_.load(std::memory_order_relaxed)) {
+        depth_high_water_.store(depth, std::memory_order_relaxed);
       }
     }
     done.wait();

@@ -12,12 +12,10 @@
 /// Concurrency model: partitions publish immutable epoch snapshots
 /// (`ShardArchive::snapshot()`, a shared_ptr copy), so query execution
 /// holds no lock while scanning — N readers run against live ingest
-/// without stalling it. Fan-out rides the same
-/// `StageChannel` fabric as the pipeline's other hops, deliberately on the
-/// mutex `BoundedQueue` arm: the query hop is many-producer (every reader
-/// thread enqueues) and many-consumer (the worker pool), which is exactly
-/// the MPMC case the fallback arm exists for — the SPSC ring's contract
-/// does not hold here.
+/// without stalling it. Fan-out rides a mutex `BoundedQueue`: the query hop
+/// is many-producer (every reader thread enqueues) and many-consumer (the
+/// worker pool), so the SPSC rings of the pipeline's other hops do not
+/// apply. It is the pipeline's one MPMC hop.
 ///
 /// Determinism: rows are totally ordered by (event time, MMSI, payload) and
 /// every vessel lives in exactly one partition, so the merged stream is
@@ -26,6 +24,7 @@
 /// returns identical bytes in identical order. tests/query_serving_test.cc
 /// holds the proof battery.
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <latch>
@@ -38,7 +37,8 @@
 #include "common/time.h"
 #include "geo/geometry.h"
 #include "storage/archive.h"
-#include "stream/channel.h"
+#include "stream/queue.h"
+#include "stream/spsc_ring.h"
 
 namespace marlin {
 
@@ -118,10 +118,10 @@ class QueryEngine {
  public:
   struct Options {
     /// Fan-out worker pool size. 0 scans the partitions inline on the
-    /// calling reader thread (no pool, no channel hop) — the sequential
+    /// calling reader thread (no pool, no queue hop) — the sequential
     /// reference arm.
     size_t num_workers = 0;
-    /// Fan-out channel capacity (tasks, not queries).
+    /// Fan-out queue capacity (tasks, not queries).
     size_t queue_capacity = 64;
   };
 
@@ -138,8 +138,9 @@ class QueryEngine {
   /// \brief Runs one query against the partitions' current epoch snapshots.
   QueryResult Execute(const QuerySpec& spec) const;
 
-  /// \brief Fan-out channel health (zeros when num_workers == 0).
-  QueueHopStats hop_stats() const { return channel_.stats(); }
+  /// \brief Fan-out hop health (zeros when num_workers == 0). Every pop
+  /// carries one task, so the batch histogram is all singletons.
+  QueueHopStats hop_stats() const;
 
   size_t num_partitions() const { return partitions_.size(); }
 
@@ -165,8 +166,13 @@ class QueryEngine {
 
   std::vector<const ShardArchive*> partitions_;
   Options options_;
-  /// MPMC fan-out hop (mutex arm by design; see file comment).
-  mutable StageChannel<Task> channel_;
+  /// MPMC fan-out hop (see file comment) and its counters — atomics, since
+  /// any reader may push and any worker pop.
+  mutable BoundedQueue<Task> queue_;
+  mutable std::atomic<uint64_t> pushed_{0};
+  mutable std::atomic<uint64_t> popped_{0};
+  mutable std::atomic<uint64_t> push_waits_{0};
+  mutable std::atomic<size_t> depth_high_water_{0};
   std::vector<std::thread> workers_;
 };
 

@@ -18,8 +18,6 @@ AsyncSideStage<ReconstructedPoint, EnrichedPoint>::Options EnrichmentOptions(
   options.async = async && config.enable_enrichment;
   options.queue_depth = config.enrichment_queue_depth;
   options.output_capacity = config.enriched_output_capacity;
-  options.fabric = config.lock_free_fabric ? QueueFabric::kSpscRing
-                                           : QueueFabric::kMutex;
   return options;
 }
 

@@ -7,19 +7,6 @@
 
 namespace marlin {
 
-namespace {
-
-GridPairPartitioner::Options GridPairOptions(const PipelineConfig& config) {
-  GridPairPartitioner::Options options;
-  options.pair_threads = ResolveTopologyCount(config.pair_threads);
-  options.cell_size_m = config.pair_cell_size_m;
-  options.fabric = config.lock_free_fabric ? QueueFabric::kSpscRing
-                                           : QueueFabric::kMutex;
-  return options;
-}
-
-}  // namespace
-
 ShardedPipeline::ShardedPipeline(const PipelineConfig& config,
                                  const Options& options,
                                  const ZoneDatabase* zones,
@@ -34,7 +21,6 @@ ShardedPipeline::ShardedPipeline(const PipelineConfig& config,
       registry_a_(registry_a),
       registry_b_(registry_b),
       pair_events_(config.events),
-      pair_grid_(config.events, GridPairOptions(config)),
       dead_letters_(config.dead_letter_capacity) {
   // Shards writing the legacy single LSM archive concurrently would race;
   // strip it. The serving tier's per-shard archives (config_.archive) take
@@ -45,14 +31,15 @@ ShardedPipeline::ShardedPipeline(const PipelineConfig& config,
   const size_t n = router_.num_shards();
   // Capacity 1 cannot deadlock (workers always drain), it just serialises
   // the coordinator against the slowest shard; honor the caller's choice
-  // (the ring fabric rounds up to its power-of-two floor of 2).
+  // (the ring rounds up to its power-of-two floor of 2).
   const size_t capacity = std::max<size_t>(1, options_.queue_capacity);
-  const QueueFabric fabric = config_.lock_free_fabric ? QueueFabric::kSpscRing
-                                                      : QueueFabric::kMutex;
+  // The zone index builds lazily on its first query, which is not
+  // thread-safe: build it before any shard or enrichment worker can query.
+  if (zones != nullptr) zones->Build();
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>(
-        i, fabric, capacity, config_.supervision.replay_max_messages);
+        i, capacity, config_.supervision.replay_max_messages);
     shard->core = std::make_unique<PipelineShardCore>(
         config_, /*async_enrichment=*/true, zones, weather, registry_a,
         registry_b, /*shard_index=*/i);
@@ -99,10 +86,8 @@ void ShardedPipeline::ExecuteParseTask(Shard* shard, ParseTask* parse) {
     // unparsed slots stay rejected (`!ok`) and surface downstream as
     // counted bad sentences + dead letters — data loss, but attributed.
     for (; j < parse->count; ++j) parse->out[j] = ParsedLine{};
-    if (config_.supervision.enabled) {
-      ++shard->sup.stats.failures;
-      ++shard->sup.stats.failures_by_site["shard.worker.parse"];
-    }
+    ++shard->sup.stats.failures;
+    ++shard->sup.stats.failures_by_site["shard.worker.parse"];
   }
   parse->done->count_down();
 }
@@ -133,12 +118,6 @@ void ShardedPipeline::RunShardTask(Shard* shard, const ShardTask& task) {
 }
 
 void ShardedPipeline::ExecuteShardTask(Shard* shard, ShardTask& task) {
-  if (!config_.supervision.enabled) {
-    // Pre-supervision behavior exactly: no buffering, no containment.
-    RunShardTask(shard, task);
-    task.done->count_down();
-    return;
-  }
   ShardSupervisor& sup = shard->sup;
   if (sup.degraded) {
     const size_t n = task.messages != nullptr ? task.messages->size() : 0;
@@ -392,10 +371,8 @@ void ShardedPipeline::MergeWindow(Window* window, bool flush_pairs,
                  std::make_move_iterator(shard_pairs.end()));
   }
 
-  // Same canonical window close the sequential pipeline performs — the
-  // partitioner fans the pair scans out across grid cells when configured,
-  // with byte-identical output (core/pair_grid.h).
-  pair_grid_.CloseWindow(&pair_events_, &pairs, flush_pairs, &events);
+  // The same canonical window close the sequential pipeline performs.
+  pair_events_.CloseWindow(&pairs, flush_pairs, &events);
   FireAlerts(events, &metrics_.alerts, alert_callback_);
   // Metrics are NOT refreshed here: when this window is merged the shards
   // may already be processing the next one, and their stats are only safe
@@ -438,12 +415,10 @@ void ShardedPipeline::RefreshMetrics() {
       metrics_.archive.Merge(shard->core->archive()->stats());
     }
   }
-  metrics_.pair_stage = pair_grid_.stats();
   metrics_.shard_hop = {};
   for (const auto& shard : shards_) {
     metrics_.shard_hop.Merge(shard->queue.stats());
   }
-  metrics_.pair_hop = pair_grid_.hop_stats();
   // Health roll-up. Supervisor stats are worker-owned; this runs at the
   // same quiescent points as the per-core merges above.
   metrics_.health = PipelineHealth{};
@@ -452,8 +427,6 @@ void ShardedPipeline::RefreshMetrics() {
     metrics_.health.supervisor.enrichment_suppressed +=
         shard->core->enrichment_suppressed_count();
   }
-  metrics_.health.supervisor.pair_windows_recovered =
-      pair_grid_.stats().recovered_windows;
   metrics_.health.dead_letter = dead_letters_.stats();
   metrics_.health.enrichment_transform_failures =
       metrics_.enrichment_stage.transform_failed;

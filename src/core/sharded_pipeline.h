@@ -14,20 +14,16 @@
 ///        ▼
 ///   N × PipelineShardCore (reconstruction → synopses → store partition →
 ///        single-vessel event rules), one thread each, fed through a
-///        StageChannel (lock-free SpscRing by default — the coordinator is
-///        each command queue's only producer — or the mutex BoundedQueue
-///        reference arm when `PipelineConfig::lock_free_fabric` is off) —
-///        each core also feeds an async enrichment side-stage (own worker
-///        + bounded lossy channel) whose output surfaces through
-///        SetEnrichedSink / DrainEnriched
+///        lock-free StageChannel (the coordinator is each command queue's
+///        only producer) — each core also feeds an async enrichment
+///        side-stage (own worker + bounded lossy channel) whose output
+///        surfaces through SetEnrichedSink / DrainEnriched
 ///        │ merge: pair observations sorted by (event time, MMSI)
 ///        ▼
-///   coordinator: pair stage (rendezvous / collision) — sequential
-///        PairEventEngine, or grid-cell sharded across a
-///        GridPairPartitioner worker pool when `PipelineConfig::
-///        pair_threads` > 1 (halo exchange + min-cell ownership keep the
-///        output byte-identical) — + canonical event re-sequencing +
-///        alerts + metric merge
+///   coordinator: pair stage (rendezvous / collision) — the same
+///        sequential `PairEventEngine::CloseWindow` the single-threaded
+///        pipeline runs — + canonical event re-sequencing + alerts +
+///        metric merge
 ///
 /// Determinism: every vessel's reports flow through exactly one
 /// single-threaded shard core in arrival order, reconstruction watermarks
@@ -35,8 +31,7 @@
 /// with window boundaries fixed by input line count, and merged events are
 /// re-sequenced with a total order. Consequently a `ShardedPipeline` with
 /// one shard reproduces `MaritimePipeline`'s event stream *exactly*, and
-/// N shards produce the same events for any N — for every pair-stage
-/// cell-size/thread configuration (core/pair_grid.h).
+/// N shards produce the same events for any N.
 ///
 /// Fault tolerance (core/supervisor.h): each shard worker runs under a
 /// supervisor. A throwing task is caught and attributed; the shard core is
@@ -59,7 +54,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/pair_grid.h"
 #include "core/pipeline.h"
 #include "core/shard.h"
 #include "core/supervisor.h"
@@ -271,9 +265,8 @@ class ShardedPipeline {
   };
 
   struct Shard {
-    Shard(size_t shard_index, QueueFabric fabric, size_t queue_capacity,
-          size_t replay_max)
-        : index(shard_index), queue(fabric, queue_capacity), sup(replay_max) {}
+    Shard(size_t shard_index, size_t queue_capacity, size_t replay_max)
+        : index(shard_index), queue(queue_capacity), sup(replay_max) {}
     const size_t index;  ///< names the archive partition on rebuild
     std::unique_ptr<PipelineShardCore> core;
     /// Command hop. The coordinator is the only producer and the shard
@@ -342,10 +335,7 @@ class ShardedPipeline {
   std::vector<std::unique_ptr<Shard>> shards_;
   AisDecoder decoder_;          ///< assembly half runs on the coordinator
   QualityAssessor quality_;
-  PairEventEngine pair_events_;  ///< authoritative pair-rule state
-  /// Closes pair windows on `pair_events_` — grid-cell parallel when
-  /// `config.pair_threads` > 1, sequential otherwise; identical output.
-  GridPairPartitioner pair_grid_;
+  PairEventEngine pair_events_;  ///< pair-rule state, coordinator-owned
   /// Rejected raw lines + degraded-drop markers. Pushed from the
   /// coordinator (decode rejects) and the shard workers (degraded drops) —
   /// the queue is internally locked.

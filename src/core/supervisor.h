@@ -5,9 +5,9 @@
 /// \brief Worker supervision: failure accounting, bounded replay state, and
 /// the pipeline-wide health snapshot.
 ///
-/// The sharded pipeline's worker threads (shard cores, pair cells, side
-/// stages) execute under a supervisor discipline instead of letting an
-/// exception tear the thread (and with it the coordinator's latch) down:
+/// The sharded pipeline's worker threads (shard cores, side stages) execute
+/// under a supervisor discipline instead of letting an exception tear the
+/// thread (and with it the coordinator's latch) down:
 ///
 ///   * A failing shard worker is caught, attributed
 ///     (`SupervisorStats::failures_by_site`), and restarted: its
@@ -23,10 +23,8 @@
 ///     deterministic rebuild impossible) degrades to counted-drop mode:
 ///     subsequent batches are dropped *and counted* into the dead-letter
 ///     ledger rather than wedging or crashing the coordinator.
-///   * Pair-cell tasks and side-stage transforms fail softer: a failed
-///     parallel pair window falls back to the sequential path (which is
-///     equivalence-tested against it anyway), and a throwing enrichment
-///     transform drops only that item, counted.
+///   * Side-stage transforms fail softer: a throwing enrichment transform
+///     drops only that item, counted.
 ///
 /// `PipelineHealth` is the operator-facing roll-up of all of it, exposed on
 /// both pipelines via `PipelineMetrics::health`.
@@ -42,9 +40,6 @@ namespace marlin {
 
 /// \brief Supervision knobs, embedded in `PipelineConfig`.
 struct SupervisionOptions {
-  /// Master switch. Off restores the pre-supervision worker loops exactly
-  /// (no replay buffering, failures propagate as before).
-  bool enabled = true;
   /// Restarts allowed per worker before it degrades to counted-drop mode.
   size_t restart_budget = 3;
   /// Replay-buffer bound, in buffered routed messages per shard. The buffer
@@ -66,9 +61,6 @@ struct SupervisorStats {
   /// Enrichment submissions suppressed during replay (replayed points would
   /// otherwise double-enrich; counted as data at risk, not re-enriched).
   uint64_t enrichment_suppressed = 0;
-  /// Parallel pair windows that failed and were recovered by falling back
-  /// to the (equivalent) sequential path.
-  uint64_t pair_windows_recovered = 0;
   /// Failure attribution: injected faults report their site name, real
   /// exceptions their what(). std::map for deterministic iteration.
   std::map<std::string, uint64_t> failures_by_site;
@@ -81,7 +73,6 @@ struct SupervisorStats {
     degraded_workers += o.degraded_workers;
     degraded_dropped_messages += o.degraded_dropped_messages;
     enrichment_suppressed += o.enrichment_suppressed;
-    pair_windows_recovered += o.pair_windows_recovered;
     for (const auto& [site, n] : o.failures_by_site) {
       failures_by_site[site] += n;
     }

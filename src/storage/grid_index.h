@@ -30,10 +30,7 @@ class GridIndex {
   explicit GridIndex(double cell_deg = 0.1) : cell_deg_(cell_deg) {}
 
   // --- Shared grid math -----------------------------------------------------
-  // Every uniform-grid consumer (this live index, the pair stage's
-  // GridPairPartitioner) must bucket and scan with *identical* geometry, or
-  // the pair stage's halo could silently under-cover what QueryRadius
-  // scans. These statics are the single source of truth: row-major packed
+  // The single source of truth for the grid geometry: row-major packed
   // keys on a (lat+90)/(lon+180) floor grid — unwrapped at the
   // antimeridian — and the radius → degree margins QueryRadius prefilters
   // with.
@@ -93,13 +90,6 @@ class GridIndex {
 
   size_t size() const { return positions_.size(); }
   double cell_deg() const { return cell_deg_; }
-
-  /// \brief Drops every point; table capacity is retained (the pooled
-  /// pair-stage replicas clear and refill their live picture per window).
-  void Clear() {
-    cells_.Clear();
-    positions_.Clear();
-  }
 
  private:
   CellKey KeyFor(const GeoPoint& p) const { return KeyOnPitch(p, cell_deg_); }

@@ -2,213 +2,104 @@
 #define MARLIN_STREAM_CHANNEL_H_
 
 /// \file channel.h
-/// \brief The queue-concept seam between pipeline stages: one hand-off
-/// surface, two interchangeable fabrics.
+/// \brief The hand-off surface between pipeline stages.
 ///
-/// Every hot hop in the sharded pipeline (coordinator → shard worker,
-/// shard core → enrichment side-stage, pair coordinator → cell worker) is
-/// single-producer/single-consumer, so the default fabric is the lock-free
-/// `SpscRing`. The mutex+condvar `BoundedQueue` remains behind the same
-/// surface as the MPMC-capable fallback and the frozen reference arm —
-/// `PipelineConfig::lock_free_fabric = false` swaps every hop back, which
-/// is how the equivalence battery and the queue-hop benchmark compare the
-/// two with zero other differences.
+/// Every inter-stage hop in the sharded pipeline (coordinator → shard
+/// worker, shard core → enrichment side-stage) is
+/// single-producer/single-consumer, so a channel is a lock-free ring:
+/// `SpscRing` for blocking hops, `SpscLossyRing` for overload-shedding
+/// ones. The one many-producer hop — query fan-out — holds a
+/// `BoundedQueue` directly (core/query_engine.h).
 ///
-/// The channel also owns the per-hop instrumentation (`QueueHopStats`) so
-/// both arms are measured identically: the ring reports its own counters,
-/// the mutex arm is counted here around the queue calls.
+/// The channel also exposes the per-hop instrumentation (`QueueHopStats`),
+/// which each ring keeps itself.
 
-#include <algorithm>
-#include <atomic>
+#include <cassert>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "stream/lossy_ring.h"
-#include "stream/queue.h"
 #include "stream/spsc_ring.h"
 
 namespace marlin {
 
-/// \brief Which hand-off implementation a channel runs on.
-enum class QueueFabric {
-  kSpscRing,  ///< lock-free ring (default; hops are single-producer)
-  kMutex,     ///< BoundedQueue — MPMC fallback and frozen reference arm
-};
-
-/// \brief One inter-stage hop: blocking bounded FIFO with close/drain
-/// end-of-stream semantics, backed by the selected fabric.
+/// \brief One inter-stage hop: bounded FIFO with close/drain end-of-stream
+/// semantics. The SPSC contract (one pushing thread, one popping thread at
+/// a time) must hold.
 ///
-/// The SPSC contract (one pushing thread, one popping thread at a time)
-/// must hold when constructed with `kSpscRing`; `kMutex` lifts it.
-///
-/// A channel constructed with `lossy = true` is an overload-shedding hop:
-/// its producer is expected to call `PushLossy`, and on the ring fabric the
-/// backend is `SpscLossyRing` so both arms evict the *oldest* queued item
-/// under overload (the mutex arm always did via `PushEvictOldest`). On a
-/// lossy channel `Push` never blocks either — it is `PushLossy` with the
-/// eviction count folded into the hop stats.
+/// A channel constructed with `lossy = true` is an overload-shedding hop
+/// backed by `SpscLossyRing`: its producer calls `PushLossy`, which evicts
+/// the *oldest* queued item under overload (the semantics of
+/// `BoundedQueue::PushEvictOldest`). Any other channel is a blocking hop
+/// backed by `SpscRing`, whose producer calls `Push`.
 template <typename T>
 class StageChannel {
  public:
-  StageChannel(QueueFabric fabric, size_t capacity, bool lossy = false) {
-    if (fabric == QueueFabric::kSpscRing) {
-      if (lossy) {
-        lossy_ring_ = std::make_unique<SpscLossyRing<T>>(capacity);
-      } else {
-        ring_ = std::make_unique<SpscRing<T>>(capacity);
-      }
+  explicit StageChannel(size_t capacity, bool lossy = false) {
+    if (lossy) {
+      lossy_ring_ = std::make_unique<SpscLossyRing<T>>(capacity);
     } else {
-      queue_ = std::make_unique<BoundedQueue<T>>(std::max<size_t>(1, capacity));
+      ring_ = std::make_unique<SpscRing<T>>(capacity);
     }
-  }
-
-  QueueFabric fabric() const {
-    return queue_ ? QueueFabric::kMutex : QueueFabric::kSpscRing;
   }
 
   size_t capacity() const {
-    if (ring_) return ring_->capacity();
-    if (lossy_ring_) return lossy_ring_->capacity();
-    return queue_->capacity();
+    return ring_ ? ring_->capacity() : lossy_ring_->capacity();
   }
 
-  size_t size() const {
-    if (ring_) return ring_->size();
-    if (lossy_ring_) return lossy_ring_->size();
-    return queue_->size();
-  }
+  size_t size() const { return ring_ ? ring_->size() : lossy_ring_->size(); }
 
-  /// \brief Blocks until space is available; returns false if closed. On a
-  /// lossy ring channel this never blocks — it evicts the oldest instead
-  /// (the eviction is visible in the hop stats, not to the caller; use
-  /// `PushLossy` when the caller accounts for drops).
+  /// \brief Blocks until space is available; returns false if closed.
+  /// Only valid on a channel constructed without `lossy`.
   bool Push(T item) {
-    if (ring_) return ring_->Push(std::move(item));
-    if (lossy_ring_) {
-      size_t evicted = 0;
-      return lossy_ring_->PushEvictOldest(std::move(item), &evicted);
-    }
-    size_t depth = 0;
-    bool blocked = false;
-    if (!queue_->Push(std::move(item), &depth, &blocked)) return false;
-    mutex_stats_.pushed.fetch_add(1, std::memory_order_relaxed);
-    if (blocked) mutex_stats_.push_waits.fetch_add(1, std::memory_order_relaxed);
-    mutex_stats_.ObserveDepth(depth);
-    return true;
+    assert(ring_ != nullptr);
+    return ring_->Push(std::move(item));
   }
 
-  /// \brief Lossy push for latency-critical producers: never blocks.
-  /// Returns false only when the channel is closed (the item is rejected
-  /// and `*dropped` is 0). `*dropped` counts items lost making room.
-  ///
-  /// Overload semantics are *evict-oldest on every fabric*: the new item
-  /// always enters and the oldest queued items are evicted and counted
-  /// (mutex arm — `BoundedQueue::PushEvictOldest`; lossy ring arm —
-  /// `SpscLossyRing::PushEvictOldest`). Both arms therefore shed the exact
-  /// same item set under the same load, preserving FIFO order of the
+  /// \brief Lossy push for latency-critical producers: never blocks. Only
+  /// valid on a channel constructed with `lossy = true`. Returns false only
+  /// when the channel is closed (the item is rejected and `*dropped` is 0).
+  /// Under overload the new item always enters and the oldest queued items
+  /// are evicted and counted in `*dropped`, preserving FIFO order of the
   /// survivors and the `accepted == delivered + dropped` completeness
-  /// invariant. A channel constructed without `lossy` on the ring fabric
-  /// has no evicting backend and falls back to drop-newest (`TryPush` +
-  /// count) — construct lossy channels with `lossy = true`.
+  /// invariant.
   bool PushLossy(T item, size_t* dropped) {
+    assert(lossy_ring_ != nullptr);
     *dropped = 0;
-    if (lossy_ring_) return lossy_ring_->PushEvictOldest(std::move(item), dropped);
-    if (ring_) {
-      if (ring_->TryPush(item)) return true;
-      if (ring_->closed()) return false;
-      *dropped = 1;
-      return true;
-    }
-    size_t depth = 0;
-    if (!queue_->PushEvictOldest(std::move(item), dropped, &depth)) {
-      return false;
-    }
-    mutex_stats_.pushed.fetch_add(1, std::memory_order_relaxed);
-    mutex_stats_.ObserveDepth(depth);
-    return true;
+    return lossy_ring_->PushEvictOldest(std::move(item), dropped);
   }
 
   /// \brief Blocks until an item arrives; std::nullopt once closed+drained.
-  std::optional<T> Pop() {
-    if (ring_) return ring_->Pop();
-    if (lossy_ring_) return lossy_ring_->Pop();
-    std::optional<T> item = queue_->Pop();
-    if (item.has_value()) {
-      mutex_stats_.popped.fetch_add(1, std::memory_order_relaxed);
-      mutex_stats_.batch_hist[0].fetch_add(1, std::memory_order_relaxed);
-    }
-    return item;
-  }
+  std::optional<T> Pop() { return ring_ ? ring_->Pop() : lossy_ring_->Pop(); }
 
   /// \brief Blocking batch pop; 0 means closed-and-drained.
   size_t PopBatch(std::vector<T>* out, size_t max_items) {
-    if (ring_) return ring_->PopBatch(out, max_items);
-    if (lossy_ring_) return lossy_ring_->PopBatch(out, max_items);
-    const size_t n = queue_->PopBatch(out, max_items);
-    if (n > 0) {
-      mutex_stats_.popped.fetch_add(n, std::memory_order_relaxed);
-      mutex_stats_.batch_hist[QueueHopStats::BatchBucket(n)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-    return n;
+    return ring_ ? ring_->PopBatch(out, max_items)
+                 : lossy_ring_->PopBatch(out, max_items);
   }
 
   /// \brief Marks end-of-stream; wakes all waiters.
   void Close() {
     if (ring_) {
       ring_->Close();
-    } else if (lossy_ring_) {
-      lossy_ring_->Close();
     } else {
-      queue_->Close();
+      lossy_ring_->Close();
     }
   }
 
   bool closed() const {
-    if (ring_) return ring_->closed();
-    if (lossy_ring_) return lossy_ring_->closed();
-    return queue_->closed();
+    return ring_ ? ring_->closed() : lossy_ring_->closed();
   }
 
   /// \brief Snapshot of the hop counters (safe while both sides run).
   QueueHopStats stats() const {
-    if (ring_) return ring_->stats();
-    if (lossy_ring_) return lossy_ring_->stats();
-    QueueHopStats s;
-    s.pushed = mutex_stats_.pushed.load(std::memory_order_relaxed);
-    s.popped = mutex_stats_.popped.load(std::memory_order_relaxed);
-    s.push_waits = mutex_stats_.push_waits.load(std::memory_order_relaxed);
-    s.depth_high_water =
-        mutex_stats_.depth_high_water.load(std::memory_order_relaxed);
-    for (size_t i = 0; i < QueueHopStats::kBatchBuckets; ++i) {
-      s.batch_hist[i] =
-          mutex_stats_.batch_hist[i].load(std::memory_order_relaxed);
-    }
-    return s;
+    return ring_ ? ring_->stats() : lossy_ring_->stats();
   }
 
  private:
-  /// Counters for the mutex arm (the ring keeps its own). Atomics because
-  /// BoundedQueue permits multiple producers/consumers.
-  struct MutexStats {
-    std::atomic<uint64_t> pushed{0};
-    std::atomic<uint64_t> popped{0};
-    std::atomic<uint64_t> push_waits{0};
-    std::atomic<size_t> depth_high_water{0};
-    std::atomic<uint64_t> batch_hist[QueueHopStats::kBatchBuckets] = {};
-
-    void ObserveDepth(size_t depth) {
-      if (depth > depth_high_water.load(std::memory_order_relaxed)) {
-        depth_high_water.store(depth, std::memory_order_relaxed);
-      }
-    }
-  };
-
   std::unique_ptr<SpscRing<T>> ring_;
   std::unique_ptr<SpscLossyRing<T>> lossy_ring_;
-  std::unique_ptr<BoundedQueue<T>> queue_;
-  MutexStats mutex_stats_;
 };
 
 }  // namespace marlin

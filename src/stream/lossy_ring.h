@@ -2,16 +2,14 @@
 #define MARLIN_STREAM_LOSSY_RING_H_
 
 /// \file lossy_ring.h
-/// \brief Lock-free SPSC ring whose overload policy is *evict-oldest* — the
-/// lossy arm of the fabric seam, unified with `BoundedQueue::PushEvictOldest`.
+/// \brief Lock-free SPSC ring whose overload policy is *evict-oldest* —
+/// the backend of lossy `StageChannel`s, with the same overload semantics
+/// as `BoundedQueue::PushEvictOldest` (the reference the tests hold it to).
 ///
 /// `SpscRing` cannot evict under overload: the head slot belongs to the
-/// consumer, so its lossy path (`TryPush` + count) necessarily dropped the
-/// *incoming* item. That made the two fabric arms shed different load —
-/// drop-newest on the ring, drop-oldest on the mutex queue — so a saturated
-/// enrichment stage kept a *stale* prefix of the stream on one fabric and
-/// the *freshest* suffix on the other. This ring closes that divergence:
-/// both arms now keep the newest items and evict the oldest.
+/// consumer, so a lossy push on it could only drop the *incoming* item,
+/// and a saturated enrichment stage would keep a *stale* prefix of the
+/// stream. This ring keeps the newest items and evicts the oldest.
 ///
 /// Design: a Vyukov-style bounded queue specialised to one producer. Every
 /// cell carries a sequence number that encodes its lap state:
@@ -55,7 +53,7 @@ template <typename T>
 class SpscLossyRing {
  public:
   /// \brief Capacity is rounded up to a power of two (minimum 2), matching
-  /// `SpscRing` so the two fabrics agree on effective depth.
+  /// `SpscRing` so lossy and lossless channels agree on effective depth.
   explicit SpscLossyRing(size_t min_capacity)
       : cells_(std::bit_ceil(std::max<size_t>(2, min_capacity))),
         mask_(cells_.size() - 1) {
@@ -144,7 +142,7 @@ class SpscLossyRing {
 
   /// \brief Snapshot of the hop counters. `pushed` counts accepted items,
   /// `popped` delivered items; evictions appear in `push_waits` (the
-  /// overload indicator of this fabric) and never in `popped`.
+  /// overload indicator of this ring) and never in `popped`.
   QueueHopStats stats() const {
     QueueHopStats s;
     s.pushed = tail_.load(std::memory_order_acquire);

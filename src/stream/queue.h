@@ -6,10 +6,10 @@
 /// pipeline stages (paper §2.1: in-situ processing must be communication
 /// efficient; a bounded queue is where that pressure becomes visible).
 ///
-/// Since the lock-free SPSC fabric (stream/spsc_ring.h) took over the
-/// single-producer hot hops, this queue is the MPMC-capable fallback and
-/// the frozen reference arm behind the `StageChannel` seam
-/// (stream/channel.h).
+/// The single-producer pipeline hops run on lock-free rings
+/// (stream/channel.h); this queue serves the one many-producer,
+/// many-consumer hop (query fan-out, core/query_engine.h) and is the
+/// reference the rings are tested against.
 ///
 /// Condition variables are always notified *after* the mutex is released:
 /// notifying under the lock makes the woken thread immediately block on

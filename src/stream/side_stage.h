@@ -11,9 +11,7 @@
 /// registered sink or to a bounded drain buffer. Backpressure is *lossy by
 /// design*: when the transform cannot keep up the *oldest* queued item is
 /// evicted and counted — the producer never blocks and the stage keeps the
-/// freshest data. Both channel fabrics (stream/channel.h, constructed with
-/// `lossy = true`) implement the same evict-oldest policy, so the two arms
-/// shed identical item sets under identical load. `Flush` is the
+/// freshest data (a lossy `StageChannel`, stream/channel.h). `Flush` is the
 /// end-of-stream barrier: after it returns, every submitted item has been
 /// either delivered or counted as dropped, so
 /// `submitted == processed + queue_dropped` is the completeness invariant.
@@ -112,17 +110,14 @@ class AsyncSideStage {
     /// Run the transform on a dedicated worker (true) or inline on the
     /// producer thread (false — the sequential reference mode).
     bool async = true;
-    /// Input channel depth; overflow evicts the oldest queued item on
-    /// either fabric (see the file comment).
+    /// Input channel depth; overflow evicts the oldest queued item (see the
+    /// file comment).
     size_t queue_depth = 1024;
     /// Drain-buffer capacity when no sink is registered; overflow evicts
     /// the oldest buffered output.
     size_t output_capacity = 8192;
     /// Worker pops up to this many items per channel acquisition.
     size_t max_batch = 64;
-    /// Hand-off fabric for the input channel (the Submit caller is the
-    /// stage's single producer, so the SPSC contract holds).
-    QueueFabric fabric = QueueFabric::kSpscRing;
   };
 
   using Transform = std::function<Out(const In&)>;
@@ -131,8 +126,7 @@ class AsyncSideStage {
   AsyncSideStage(const Options& options, Transform transform)
       : options_(options),
         transform_(std::move(transform)),
-        channel_(options.fabric, std::max<size_t>(1, options.queue_depth),
-                 /*lossy=*/true) {
+        channel_(std::max<size_t>(1, options.queue_depth), /*lossy=*/true) {
     if (options_.async) worker_ = std::thread([this] { WorkerLoop(); });
   }
 

@@ -9,10 +9,9 @@
 /// per-item cost).
 ///
 /// Every hot hop in the sharded pipeline is single-producer/single-consumer:
-/// the coordinator is the only thread pushing a shard worker's commands, a
-/// shard core is the only thread feeding its enrichment side-stage, and the
-/// pair-stage coordinator is the only thread filling each cell worker's
-/// task ring. That restriction buys a wait-free fast path: one atomic store
+/// the coordinator is the only thread pushing a shard worker's commands,
+/// and a shard core is the only thread feeding its enrichment side-stage.
+/// That restriction buys a wait-free fast path: one atomic store
 /// publishes an item, one atomic store consumes it, no lock, no syscall, no
 /// shared line bounced between the two sides.
 ///
@@ -66,8 +65,9 @@
 
 namespace marlin {
 
-/// \brief Per-hop queue instrumentation, shared by every fabric arm
-/// (lock-free ring and mutex queue alike). Mergeable across shards.
+/// \brief Per-hop queue instrumentation, shared by every hop (the
+/// lock-free rings and the query engine's mutex queue alike). Mergeable
+/// across shards.
 struct QueueHopStats {
   uint64_t pushed = 0;       ///< items accepted by the hop
   uint64_t popped = 0;       ///< items delivered by the hop

@@ -552,6 +552,66 @@ TEST_F(EventEngineTest, NoCollisionRiskWhenDiverging) {
   }
 }
 
+PairObservation PairObs(Mmsi mmsi, Timestamp t, const GeoPoint& where,
+                        double sog_mps, double cog_deg) {
+  PairObservation obs;
+  obs.mmsi = mmsi;
+  obs.point.t = t;
+  obs.point.position = where;
+  obs.point.sog_mps = static_cast<float>(sog_mps);
+  obs.point.cog_deg = static_cast<float>(cog_deg);
+  return obs;
+}
+
+/// Closes `windows` in order on one engine (flush on the last) and counts
+/// the events of `type`.
+int CountAfterClosing(std::vector<std::vector<PairObservation>> windows,
+                      EventType type) {
+  PairEventEngine engine;
+  int count = 0;
+  for (size_t i = 0; i < windows.size(); ++i) {
+    std::vector<DetectedEvent> events;
+    engine.CloseWindow(&windows[i], /*flush=*/i + 1 == windows.size(),
+                       &events);
+    for (const auto& ev : events) count += ev.type == type ? 1 : 0;
+  }
+  return count;
+}
+
+TEST(PairEventEngineTest, RendezvousAcrossWindowsReportedOnce) {
+  // Two slow vessels ~85 m apart for 15 minutes, closed in windows of five
+  // minutes: the dwell carries across window closes and reports once.
+  const GeoPoint west(40.0, 5.0);
+  const GeoPoint east = Destination(west, 90.0, 85.0);
+  std::vector<std::vector<PairObservation>> windows(1);
+  for (int minute = 0; minute <= 15; ++minute) {
+    const Timestamp t = 1700000000000 + Minutes(minute);
+    windows.back().push_back(PairObs(111000001, t, west, 0.4, 90.0));
+    windows.back().push_back(PairObs(222000002, t, east, 0.5, 90.0));
+    if (minute % 5 == 4) windows.emplace_back();
+  }
+  EXPECT_EQ(CountAfterClosing(std::move(windows), EventType::kRendezvous), 1);
+}
+
+TEST(PairEventEngineTest, CollisionAcrossWindowsAlertsOncePerRealertWindow) {
+  // Head-on approach from 8 km at 12 m/s closing speed, 30 s ticks, closed
+  // in windows of four ticks: one alert, since the 10-minute re-alert
+  // window outlasts the 4.5-minute run.
+  const GeoPoint centre(38.0, 12.0);
+  std::vector<std::vector<PairObservation>> windows(1);
+  for (int step = 0; step < 10; ++step) {
+    const Timestamp t = 1700000000000 + step * 30000;
+    const double gap_m = 4000.0 - 6.0 * 30 * step;  // each side's distance
+    windows.back().push_back(
+        PairObs(111000001, t, Destination(centre, 270.0, gap_m), 6.0, 90.0));
+    windows.back().push_back(
+        PairObs(222000002, t, Destination(centre, 90.0, gap_m), 6.0, 270.0));
+    if (step % 4 == 3) windows.emplace_back();
+  }
+  EXPECT_EQ(CountAfterClosing(std::move(windows), EventType::kCollisionRisk),
+            1);
+}
+
 TEST_F(EventEngineTest, IllegalFishingNeedsCategoryAndZoneAndPattern) {
   EventEngine::Options opts;
   opts.fishing_min_duration = Minutes(20);

@@ -438,23 +438,6 @@ TEST(SupervisedPipelineTest, ExhaustedRestartBudgetDegradesAllWorkers) {
   EXPECT_GT(metrics.health.dead_letter.counted_only, 0u);
 }
 
-TEST(SupervisedPipelineTest, SupervisionOffMatchesSupervisionOn) {
-  const ScenarioOutput scenario = MakeScenario(946, /*perfect_reception=*/false);
-  PipelineConfig on = TestConfig();
-  PipelineConfig off = TestConfig();
-  off.supervision.enabled = false;
-
-  PipelineMetrics m_on, m_off;
-  const auto ev_on = RunSharded(on, 2, scenario, &m_on);
-  const auto ev_off = RunSharded(off, 2, scenario, &m_off);
-  ASSERT_GT(ev_on.size(), 0u);
-  ExpectSameEvents(ev_on, ev_off, /*compare_order=*/true);
-  // With no plan armed the supervision machinery never engages.
-  EXPECT_EQ(m_on.health.supervisor.failures, 0u);
-  EXPECT_EQ(m_on.health.supervisor.restarts, 0u);
-  EXPECT_EQ(m_on.health.supervisor.degraded_workers, 0u);
-}
-
 TEST(SupervisedPipelineTest, DeadLetterLedgersMatchSequentialPipeline) {
   const ScenarioOutput scenario = MakeScenario(947, /*perfect_reception=*/false);
   // Salt the stream with unparseable frames so the reject path is exercised
@@ -501,28 +484,6 @@ TEST(SupervisedPipelineTest, DeadLetterLedgersMatchSequentialPipeline) {
   for (size_t r = 0; r < kDeadLetterReasonCount; ++r) {
     EXPECT_EQ(a.by_reason[r], b.by_reason[r]) << r;
   }
-}
-
-TEST(SupervisedPipelineTest, PairCellCrashFallsBackToSequentialWindow) {
-  const ScenarioOutput scenario = MakeScenario(948, /*perfect_reception=*/false);
-  PipelineConfig pc = TestConfig();
-  pc.pair_threads = 2;
-
-  MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
-                              nullptr);
-  const auto reference = sequential.Run(scenario.nmea);
-  ASSERT_GT(reference.size(), 0u);
-
-  PipelineMetrics metrics;
-  std::vector<DetectedEvent> events;
-  {
-    ScopedFaultPlan plan(FaultPlan().Fail("pair.cell_task", 2));
-    events = RunSharded(pc, 2, scenario, &metrics);
-  }
-  // The failed parallel window was recomputed sequentially — equivalence
-  // with the single-threaded pair engine is what makes that fallback sound.
-  ExpectSameEvents(reference, events, /*compare_order=*/false);
-  EXPECT_GE(metrics.health.supervisor.pair_windows_recovered, 1u);
 }
 
 TEST(SupervisedPipelineTest, EnrichmentTransformCrashIsIsolated) {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -137,23 +138,20 @@ TEST(ShardedPipelineTest, ManyShardsProduceSameEventMultiset) {
   }
 }
 
-// The queue fabric (lock-free SPSC rings vs the mutex reference arm) only
-// changes hand-off cost, never the stream: both arms must emit the same
-// events in the same order and keep the hop counters conserved.
-TEST(ShardedPipelineTest, FabricArmsProduceIdenticalEvents) {
+// The shard hop only changes hand-off cost, never the stream: two runs of
+// the same sharded configuration emit the same events in the same order
+// and keep the hop counters conserved.
+TEST(ShardedPipelineTest, ShardHopConservesCommandsAndRunsRepeatIdentically) {
   const ScenarioOutput scenario = MakeScenario(903, /*perfect_reception=*/false);
-  PipelineConfig pc = TestConfig();
-  pc.pair_threads = 2;  // exercise the pair-stage hop as well
+  const PipelineConfig pc = TestConfig();
 
   std::vector<DetectedEvent> events[2];
-  for (int arm = 0; arm < 2; ++arm) {
-    PipelineConfig cfg = pc;
-    cfg.lock_free_fabric = (arm == 0);
+  for (int run = 0; run < 2; ++run) {
     ShardedPipeline::Options opts;
     opts.num_shards = 2;
-    ShardedPipeline pipeline(cfg, opts, &SharedWorld().zones(), nullptr,
+    ShardedPipeline pipeline(pc, opts, &SharedWorld().zones(), nullptr,
                              nullptr, nullptr);
-    events[arm] = pipeline.Run(scenario.nmea);
+    events[run] = pipeline.Run(scenario.nmea);
 
     // Hop conservation at the post-Finish quiescent point: every command
     // pushed was popped, and pops were accounted to batch buckets.
@@ -162,8 +160,6 @@ TEST(ShardedPipelineTest, FabricArmsProduceIdenticalEvents) {
     EXPECT_EQ(hop.pushed, hop.popped);
     EXPECT_GT(hop.batches(), 0u);
     EXPECT_GT(hop.depth_high_water, 0u);
-    const QueueHopStats& pair_hop = pipeline.metrics().pair_hop;
-    EXPECT_EQ(pair_hop.pushed, pair_hop.popped);
   }
   ASSERT_GT(events[0].size(), 0u);
   ExpectSameEvents(events[0], events[1], /*compare_order=*/true);
@@ -227,51 +223,7 @@ TEST(ShardedPipelineTest, TimeCapClosesWindowsOnLowRateFeeds) {
   EXPECT_EQ(sharded_tail.size(), seq_tail.size());
 }
 
-// --- Grid-parallel pair stage (scenario replay) ------------------------------
-
-TEST(ShardedPipelineTest, GridPairStageOneShardIsByteIdenticalToSequential) {
-  // The tightest equivalence claim: one MMSI shard + grid-parallel pair
-  // stage reproduces the sequential pipeline's event stream exactly, in
-  // order, for several cell-grid/thread configurations.
-  const ScenarioOutput scenario = MakeScenario(921, /*perfect_reception=*/false);
-  const PipelineConfig pc = TestConfig();
-
-  MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
-                              nullptr);
-  const auto seq_events = sequential.Run(scenario.nmea);
-  ASSERT_GT(seq_events.size(), 0u);
-
-  struct GridConfig {
-    size_t pair_threads;
-    double cell_m;
-  };
-  for (const GridConfig& grid :
-       {GridConfig{2, 0.0 /* auto: interaction radius */},
-        GridConfig{3, 5000.0}, GridConfig{4, 20000.0}}) {
-    PipelineConfig grid_pc = pc;
-    grid_pc.pair_threads = grid.pair_threads;
-    grid_pc.pair_cell_size_m = grid.cell_m;
-    ShardedPipeline::Options opts;
-    opts.num_shards = 1;
-    ShardedPipeline sharded(grid_pc, opts, &SharedWorld().zones(), nullptr,
-                            nullptr, nullptr);
-    const auto grid_events = sharded.Run(scenario.nmea);
-    ExpectSameEvents(seq_events, grid_events, /*compare_order=*/true);
-
-    const PipelineMetrics& ms = sequential.metrics();
-    const PipelineMetrics& mp = sharded.metrics();
-    EXPECT_EQ(ms.events.points_in, mp.events.points_in);
-    EXPECT_EQ(ms.events.events_out, mp.events.events_out);
-    EXPECT_EQ(ms.alerts, mp.alerts);
-    EXPECT_EQ(mp.pair_stage.windows,
-              mp.pair_stage.parallel_windows + mp.pair_stage.sequential_windows);
-    EXPECT_GT(mp.pair_stage.parallel_windows, 0u)
-        << "pair_threads=" << grid.pair_threads << " cell=" << grid.cell_m
-        << ": grid path never engaged";
-  }
-}
-
-TEST(ShardedPipelineTest, GridPairStageManyShardsMatchSequentialMultiset) {
+TEST(ShardedPipelineTest, ManyShardsMatchSequentialOnPerfectReception) {
   const ScenarioOutput scenario = MakeScenario(922, /*perfect_reception=*/true);
   const PipelineConfig pc = TestConfig();
 
@@ -281,46 +233,98 @@ TEST(ShardedPipelineTest, GridPairStageManyShardsMatchSequentialMultiset) {
   ASSERT_GT(seq_events.size(), 0u);
 
   for (size_t num_shards : {2, 4}) {
-    for (size_t pair_threads : {2, 4}) {
-      PipelineConfig grid_pc = pc;
-      grid_pc.pair_threads = pair_threads;
-      ShardedPipeline::Options opts;
-      opts.num_shards = num_shards;
-      ShardedPipeline sharded(grid_pc, opts, &SharedWorld().zones(), nullptr,
-                              nullptr, nullptr);
-      const auto grid_events = sharded.Run(scenario.nmea);
-      ExpectSameEvents(seq_events, grid_events, /*compare_order=*/false);
-      EXPECT_EQ(sequential.metrics().events.events_out,
-                sharded.metrics().events.events_out);
-      EXPECT_EQ(sequential.metrics().alerts, sharded.metrics().alerts);
-      EXPECT_GT(sharded.metrics().pair_stage.parallel_windows, 0u);
-    }
+    ShardedPipeline::Options opts;
+    opts.num_shards = num_shards;
+    ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr,
+                            nullptr, nullptr);
+    const auto shard_events = sharded.Run(scenario.nmea);
+    ExpectSameEvents(seq_events, shard_events, /*compare_order=*/false);
+    EXPECT_EQ(sequential.metrics().events.events_out,
+              sharded.metrics().events.events_out);
+    EXPECT_EQ(sequential.metrics().alerts, sharded.metrics().alerts);
   }
 }
 
-TEST(ShardedPipelineTest, GridPairStageReportsOccupancyAndHaloTraffic) {
-  const ScenarioOutput scenario = MakeScenario(923, /*perfect_reception=*/true);
-  PipelineConfig pc = TestConfig();
-  pc.pair_threads = 3;
-  pc.pair_cell_size_m = 8000.0;
+// --- Scenario packs: dense port, crossing lanes, satellite gaps ------------
 
-  ShardedPipeline::Options opts;
-  opts.num_shards = 2;
-  ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr, nullptr,
-                          nullptr);
-  sharded.Run(scenario.nmea);
+/// Replays one scenario pack through the sequential reference and through
+/// 1, 2 and 4 shards at a small window (several hundred windows per pack):
+/// 1 shard must be byte-identical, in order; 2 and 4 shards must emit the
+/// same event multiset and the same event/alert counters.
+void ReplayPack(const ScenarioConfig& config, const std::string& label) {
+  const ScenarioOutput scenario = GenerateScenario(SharedWorld(), config);
+  PipelineConfig pc;
+  pc.window_lines = 384;
 
-  const PairStageStats& stage = sharded.metrics().pair_stage;
-  EXPECT_GT(stage.windows, 0u);
-  EXPECT_GT(stage.parallel_windows, 0u);
-  EXPECT_GT(stage.observations, 0u);
-  EXPECT_GT(stage.cells, 0u);
-  EXPECT_GE(stage.max_cells_per_window, 2u);
-  EXPECT_GT(stage.max_cell_observations, 0u);
-  EXPECT_GE(stage.max_halo_rings, 1);
-  EXPECT_GT(stage.max_cell_share, 0.0);
-  EXPECT_LE(stage.max_cell_share, 1.0);
-  EXPECT_GT(stage.MeanCellsPerWindow(), 1.0);
+  MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
+                              nullptr);
+  const auto seq_events = sequential.Run(scenario.nmea);
+  ASSERT_GT(seq_events.size(), 0u) << label;
+
+  for (size_t num_shards : {1, 2, 4}) {
+    SCOPED_TRACE(label + " shards=" + std::to_string(num_shards));
+    ShardedPipeline::Options opts;
+    opts.num_shards = num_shards;
+    ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr,
+                            nullptr, nullptr);
+    const auto shard_events = sharded.Run(scenario.nmea);
+    ExpectSameEvents(seq_events, shard_events,
+                     /*compare_order=*/num_shards == 1);
+    EXPECT_EQ(sequential.metrics().events.events_out,
+              sharded.metrics().events.events_out);
+    EXPECT_EQ(sequential.metrics().alerts, sharded.metrics().alerts);
+  }
+}
+
+TEST(ShardedPipelineScenarioPackTest, DensePortTraffic) {
+  // Heavy mixed traffic around the basin's ports: the rendezvous/loiter
+  // density the paper's §4 anomaly rules target.
+  ScenarioConfig config;
+  config.seed = 7001;
+  config.duration = 75 * kMillisPerMinute;
+  config.transit_vessels = 18;
+  config.fishing_vessels = 6;
+  config.loiter_vessels = 4;
+  config.rendezvous_pairs = 4;
+  config.dark_vessels = 2;
+  config.spoof_identity_vessels = 1;
+  config.spoof_teleport_vessels = 1;
+  config.perfect_reception = true;
+  ReplayPack(config, "dense-port");
+}
+
+TEST(ShardedPipelineScenarioPackTest, CrossingLanes) {
+  // Transit-dominated crossing traffic: the collision-risk (CPA/TCPA)
+  // workload, with realistic coastal+satellite reception.
+  ScenarioConfig config;
+  config.seed = 7002;
+  config.duration = 75 * kMillisPerMinute;
+  config.transit_vessels = 26;
+  config.fishing_vessels = 2;
+  config.loiter_vessels = 1;
+  config.rendezvous_pairs = 2;
+  config.dark_vessels = 2;
+  config.spoof_identity_vessels = 1;
+  config.spoof_teleport_vessels = 1;
+  ReplayPack(config, "crossing-lanes");
+}
+
+TEST(ShardedPipelineScenarioPackTest, SatelliteLatencyGaps) {
+  // No coastal stations at all: deliveries ride satellite passes with
+  // 30–900 s latency, so windows see wide event-time spans and heavy
+  // reordering.
+  ScenarioConfig config;
+  config.seed = 7003;
+  config.duration = 2 * kMillisPerHour;
+  config.transit_vessels = 14;
+  config.fishing_vessels = 4;
+  config.loiter_vessels = 2;
+  config.rendezvous_pairs = 3;
+  config.dark_vessels = 2;
+  config.spoof_identity_vessels = 1;
+  config.spoof_teleport_vessels = 1;
+  config.use_coastal_coverage_default = false;  // satellite-only reception
+  ReplayPack(config, "satellite-gaps");
 }
 
 // --- Partitioned storage ----------------------------------------------------

@@ -1,7 +1,7 @@
-// Tests for the lock-free SPSC ring and the StageChannel fabric seam:
-// wraparound FIFO order, close/drain end-of-stream, blocked-side wake-ups,
-// randomized two-thread stress (the tsan-critical surface), a single-threaded
-// differential script against BoundedQueue, and the hop-stats invariants.
+// Tests for the lock-free SPSC rings and the StageChannel hop: wraparound
+// FIFO order, close/drain end-of-stream, blocked-side wake-ups, randomized
+// two-thread stress (the tsan-critical surface), single-threaded
+// differential scripts against BoundedQueue, and the hop-stats invariants.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "stream/channel.h"
+#include "stream/lossy_ring.h"
 #include "stream/queue.h"
 #include "stream/spsc_ring.h"
 
@@ -262,10 +263,8 @@ TEST(SpscRingTest, DifferentialAgainstBoundedQueueScript) {
 
 // --- StageChannel seam ------------------------------------------------------
 
-class StageChannelTest : public ::testing::TestWithParam<QueueFabric> {};
-
-TEST_P(StageChannelTest, StressAndStatsInvariants) {
-  StageChannel<uint64_t> channel(GetParam(), 16);
+TEST(StageChannelTest, StressAndStatsInvariants) {
+  StageChannel<uint64_t> channel(16);
   constexpr uint64_t kCount = 100000;
   std::thread producer([&channel] {
     for (uint64_t i = 0; i < kCount; ++i) ASSERT_TRUE(channel.Push(i));
@@ -292,8 +291,8 @@ TEST_P(StageChannelTest, StressAndStatsInvariants) {
   EXPECT_LE(s.batches(), kCount);
 }
 
-TEST_P(StageChannelTest, PushLossyNeverBlocksAndAccountsDrops) {
-  StageChannel<int> channel(GetParam(), 4, /*lossy=*/true);
+TEST(StageChannelTest, PushLossyNeverBlocksAndAccountsDrops) {
+  StageChannel<int> channel(4, /*lossy=*/true);
   size_t total_dropped = 0;
   for (int i = 0; i < 100; ++i) {
     size_t dropped = 0;
@@ -307,9 +306,8 @@ TEST_P(StageChannelTest, PushLossyNeverBlocksAndAccountsDrops) {
   size_t dropped = 0;
   EXPECT_FALSE(channel.PushLossy(101, &dropped));  // closed: rejected
   EXPECT_EQ(dropped, 0u);
-  // Overload semantics are evict-oldest on BOTH fabrics: the survivors are
-  // exactly the newest `capacity` items, in FIFO order. (Before the
-  // unification the ring arm dropped the newest and kept a stale prefix.)
+  // Overload semantics are evict-oldest: the survivors are exactly the
+  // newest `capacity` items, in FIFO order.
   std::vector<int> survivors;
   while (auto item = channel.Pop()) survivors.push_back(*item);
   ASSERT_EQ(survivors.size(), channel.capacity());
@@ -318,57 +316,48 @@ TEST_P(StageChannelTest, PushLossyNeverBlocksAndAccountsDrops) {
   }
 }
 
-// The cross-arm unification regression: run the exact same interleaved
-// lossy-push / pop script against both fabrics and require that they shed
-// the *identical* item set — not just the same count. This is what makes
-// `lock_free_fabric` a pure performance switch even for shedding hops.
+// The evict-oldest differential: run the exact same interleaved lossy-push /
+// pop script against the lossy ring and the BoundedQueue reference and
+// require that they shed the *identical* item set — not just the same
+// count.
 TEST(StageChannelTest, LossyArmsShedIdenticalItemSets) {
   Rng rng(17);
   for (int round = 0; round < 50; ++round) {
-    StageChannel<int> ring(QueueFabric::kSpscRing, 8, /*lossy=*/true);
-    StageChannel<int> mutex_arm(QueueFabric::kMutex, 8, /*lossy=*/true);
-    std::vector<int> ring_out, mutex_out;
-    size_t ring_dropped = 0, mutex_dropped = 0;
+    SpscLossyRing<int> ring(8);
+    BoundedQueue<int> queue(8);
+    std::vector<int> ring_out, queue_out;
+    size_t ring_dropped = 0, queue_dropped = 0;
     int next = 0;
     for (int step = 0; step < 300; ++step) {
       if (rng.NextBounded(3) != 0) {  // push-heavy: force overload
         size_t d = 0;
-        ASSERT_TRUE(ring.PushLossy(next, &d));
+        ASSERT_TRUE(ring.PushEvictOldest(next, &d));
         ring_dropped += d;
         d = 0;
-        ASSERT_TRUE(mutex_arm.PushLossy(next, &d));
-        mutex_dropped += d;
+        ASSERT_TRUE(queue.PushEvictOldest(next, &d));
+        queue_dropped += d;
         ++next;
       } else {
-        std::vector<int> r, m;
+        std::vector<int> r, q;
         const size_t want = 1 + rng.NextBounded(3);
         if (ring.size() > 0) ring.PopBatch(&r, want);
-        if (mutex_arm.size() > 0) mutex_arm.PopBatch(&m, want);
-        EXPECT_EQ(r, m) << "round " << round << " step " << step;
+        if (queue.size() > 0) queue.PopBatch(&q, want);
+        EXPECT_EQ(r, q) << "round " << round << " step " << step;
         ring_out.insert(ring_out.end(), r.begin(), r.end());
-        mutex_out.insert(mutex_out.end(), m.begin(), m.end());
+        queue_out.insert(queue_out.end(), q.begin(), q.end());
       }
     }
     ring.Close();
-    mutex_arm.Close();
+    queue.Close();
     while (auto item = ring.Pop()) ring_out.push_back(*item);
-    while (auto item = mutex_arm.Pop()) mutex_out.push_back(*item);
+    while (auto item = queue.Pop()) queue_out.push_back(*item);
     // Identical survivors (and therefore identical shed sets), and both
-    // arms uphold accepted == delivered + dropped.
-    EXPECT_EQ(ring_out, mutex_out) << "round " << round;
-    EXPECT_EQ(ring_dropped, mutex_dropped);
+    // uphold accepted == delivered + dropped.
+    EXPECT_EQ(ring_out, queue_out) << "round " << round;
+    EXPECT_EQ(ring_dropped, queue_dropped);
     EXPECT_EQ(ring_out.size() + ring_dropped, static_cast<size_t>(next));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothFabrics, StageChannelTest,
-                         ::testing::Values(QueueFabric::kSpscRing,
-                                           QueueFabric::kMutex),
-                         [](const auto& info) {
-                           return info.param == QueueFabric::kSpscRing
-                                      ? "SpscRing"
-                                      : "Mutex";
-                         });
 
 }  // namespace
 }  // namespace marlin
