@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "geo/geodesy.h"
-#include "geo/kinematics.h"
 
 namespace marlin {
 
@@ -116,7 +115,7 @@ PairObservation VesselEventEngine::Ingest(const ReconstructedPoint& rp,
     ev.detected_at = rp.point.t;
     out->push_back(ev);
     ++stats_.events_out;
-    vessel.window.clear();  // a gap invalidates the loiter window
+    vessel.loiter.Clear();  // a gap invalidates the loiter window
   }
 
   CheckZones(rp, &vessel, out);
@@ -223,15 +222,66 @@ void VesselEventEngine::CheckStopMove(const ReconstructedPoint& rp,
   vessel->stopped = now_stopped;
 }
 
+void VesselEventEngine::LoiterWindow::Push(const TrajectoryPoint& p) {
+  const uint32_t seq = head + static_cast<uint32_t>(points.size());
+  points.push_back(p);
+  // Pop only strictly beaten entries: of equal values the oldest stays in
+  // front, as the std::min/std::max fold keeps the first of equals.
+  while (!min_lat.empty() && At(min_lat.back()).position.lat > p.position.lat) {
+    min_lat.pop_back();
+  }
+  min_lat.push_back(seq);
+  while (!max_lat.empty() && At(max_lat.back()).position.lat < p.position.lat) {
+    max_lat.pop_back();
+  }
+  max_lat.push_back(seq);
+  while (!min_lon.empty() && At(min_lon.back()).position.lon > p.position.lon) {
+    min_lon.pop_back();
+  }
+  min_lon.push_back(seq);
+  while (!max_lon.empty() && At(max_lon.back()).position.lon < p.position.lon) {
+    max_lon.pop_back();
+  }
+  max_lon.push_back(seq);
+}
+
+void VesselEventEngine::LoiterWindow::PopFront() {
+  for (RingBuffer<uint32_t>* deque : {&min_lat, &max_lat, &min_lon, &max_lon}) {
+    if (!deque->empty() && deque->front() == head) deque->pop_front();
+  }
+  points.pop_front();
+  ++head;
+}
+
+void VesselEventEngine::LoiterWindow::Clear() {
+  points.clear();
+  min_lat.clear();
+  max_lat.clear();
+  min_lon.clear();
+  max_lon.clear();
+}
+
+BoundingBox VesselEventEngine::LoiterWindow::Box() const {
+  // Folding the oldest extremes into the empty box gives the bits that
+  // extending it by every window point gives.
+  BoundingBox box = BoundingBox::Empty();
+  box.min_lat = std::min(box.min_lat, At(min_lat.front()).position.lat);
+  box.max_lat = std::max(box.max_lat, At(max_lat.front()).position.lat);
+  box.min_lon = std::min(box.min_lon, At(min_lon.front()).position.lon);
+  box.max_lon = std::max(box.max_lon, At(max_lon.front()).position.lon);
+  return box;
+}
+
 void VesselEventEngine::CheckLoitering(const ReconstructedPoint& rp,
                                        VesselState* vessel,
                                        std::vector<DetectedEvent>* out) {
   const Timestamp t = rp.point.t;
-  auto& window = vessel->window;
-  window.push_back(rp.point);
+  LoiterWindow& loiter = vessel->loiter;
+  const auto& window = loiter.points;
+  loiter.Push(rp.point);
   while (!window.empty() &&
          t - window.front().t > options_.loiter_min_duration) {
-    window.pop_front();
+    loiter.PopFront();
   }
   if (vessel->in_port_area) {
     return;  // moored in harbour is normal, not loitering
@@ -243,13 +293,17 @@ void VesselEventEngine::CheckLoitering(const ReconstructedPoint& rp,
     return;
   }
   // Confinement test: window bounding box must fit inside the radius, and
-  // mean speed must be low.
-  BoundingBox box = BoundingBox::Empty();
+  // mean speed must be low. The box is O(1); only a fitting box pays for
+  // the speed sum, taken in window order so the float sum compared with
+  // the threshold is the one a full rescan makes.
+  const BoundingBox box = loiter.Box();
+  const double diag = HaversineDistance(GeoPoint(box.min_lat, box.min_lon),
+                                        GeoPoint(box.max_lat, box.max_lon));
+  if (!(diag <= 2.0 * options_.loiter_radius_m)) return;
   double speed_sum = 0.0;
   size_t speed_count = 0;
   for (size_t i = 0; i < window.size(); ++i) {
     const TrajectoryPoint& p = window[i];
-    box.Extend(p.position);
     if (p.HasSpeed()) {
       speed_sum += p.sog_mps;
       ++speed_count;
@@ -258,11 +312,8 @@ void VesselEventEngine::CheckLoitering(const ReconstructedPoint& rp,
   // Mean speed over the *available* samples only — one sentinel SOG used to
   // poison the whole window with NaN. No speed evidence at all ⇒ no alert.
   if (speed_count == 0) return;
-  const double diag = HaversineDistance(GeoPoint(box.min_lat, box.min_lon),
-                                        GeoPoint(box.max_lat, box.max_lon));
   const double mean_speed = speed_sum / static_cast<double>(speed_count);
-  if (diag <= 2.0 * options_.loiter_radius_m &&
-      mean_speed <= options_.loiter_max_speed_mps) {
+  if (mean_speed <= options_.loiter_max_speed_mps) {
     vessel->last_loiter_alert = t;
     DetectedEvent ev;
     ev.type = EventType::kLoitering;
@@ -372,7 +423,14 @@ void PairEventEngine::Ingest(const PairObservation& obs,
   vessel.in_port_area = obs.in_port_area;
 
   CheckRendezvous(obs, out);
-  CheckCollision(obs, out);
+  if (CollisionEligible(obs.point)) {
+    MotionState self;
+    self.position = obs.point.position;
+    self.speed_mps = obs.point.sog_mps;
+    self.course_deg = obs.point.cog_deg;
+    vessel.motion = PrepareMotion(self);
+    CheckCollision(obs, vessel.motion, out);
+  }
 }
 
 void PairEventEngine::CheckRendezvous(const PairObservation& obs,
@@ -424,20 +482,9 @@ void PairEventEngine::CheckRendezvous(const PairObservation& obs,
 }
 
 void PairEventEngine::CheckCollision(const PairObservation& obs,
+                                     const PreparedMotion& self,
                                      std::vector<DetectedEvent>* out) {
-  // CPA needs a full motion state. The old `sog < min` gate silently
-  // INVERTED for sentinel speeds: NaN compares false, fell through, and
-  // poisoned the CPA solution.
-  if (!obs.point.HasSpeed() || !obs.point.HasCourse() ||
-      obs.point.sog_mps < options_.collision_min_speed_mps) {
-    return;
-  }
   const Timestamp t = obs.point.t;
-  MotionState self;
-  self.position = obs.point.position;
-  self.speed_mps = obs.point.sog_mps;
-  self.course_deg = obs.point.cog_deg;
-
   live_.QueryRadiusInto(obs.point.position, options_.collision_scan_radius_m,
                         &radius_scratch_);
   for (const auto& [other_id, dist] : radius_scratch_) {
@@ -446,10 +493,7 @@ void PairEventEngine::CheckCollision(const PairObservation& obs,
     const VesselState* partner = vessels_.Find(other);
     if (partner == nullptr || !partner->has_last) continue;
     if (t - partner->last.t > 3 * kMillisPerMinute) continue;
-    if (!partner->last.HasSpeed() || !partner->last.HasCourse() ||
-        partner->last.sog_mps < options_.collision_min_speed_mps) {
-      continue;
-    }
+    if (!CollisionEligible(partner->last)) continue;
 
     const uint64_t key = PackPair(obs.mmsi, other);
     const Timestamp* last_alert = collision_alerts_.Find(key);
@@ -458,11 +502,7 @@ void PairEventEngine::CheckCollision(const PairObservation& obs,
       continue;
     }
 
-    MotionState target;
-    target.position = partner->last.position;
-    target.speed_mps = partner->last.sog_mps;
-    target.course_deg = partner->last.cog_deg;
-    const CpaResult cpa = ComputeCpa(self, target);
+    const CpaResult cpa = ComputeCpa(self, partner->motion);
     if (cpa.converging && cpa.distance_m < options_.cpa_threshold_m &&
         cpa.tcpa_s < options_.tcpa_horizon_s) {
       collision_alerts_[key] = t;

@@ -35,6 +35,8 @@
 #include "common/ring_buffer.h"
 #include "context/zones.h"
 #include "core/reconstruction.h"
+#include "geo/geometry.h"
+#include "geo/kinematics.h"
 #include "storage/grid_index.h"
 
 namespace marlin {
@@ -167,6 +169,27 @@ class VesselEventEngine {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// The loitering window with its running bounding box. Four monotonic
+  /// deques of window offsets (the points' push sequence numbers, 4 bytes
+  /// each) track min/max latitude and longitude. A deque keeps an offset
+  /// only while no later point is strictly more extreme, so its front is
+  /// the window's *oldest* extreme: the value a `BoundingBox::Extend` fold
+  /// over the whole window settles on, ties and ±0.0 included. Push and
+  /// expiry are O(1) amortized instead of a rescan per point.
+  struct LoiterWindow {
+    RingBuffer<TrajectoryPoint> points;
+    uint32_t head = 0;  ///< sequence number of `points.front()`
+    RingBuffer<uint32_t> min_lat, max_lat, min_lon, max_lon;
+
+    const TrajectoryPoint& At(uint32_t seq) const { return points[seq - head]; }
+    void Push(const TrajectoryPoint& p);
+    void PopFront();
+    void Clear();
+    /// Bounding box of the window; bit-identical to the Extend fold.
+    /// Requires a non-empty window.
+    BoundingBox Box() const;
+  };
+
   /// Flat per-vessel state: the id sets are small sorted vectors (zone
   /// membership is a handful of ids), the sliding windows are ring buffers,
   /// and the whole struct lives by value in an open-addressing table — no
@@ -177,8 +200,7 @@ class VesselEventEngine {
     std::vector<uint32_t> zones;  ///< sorted ascending (emission order)
     bool stopped = false;
     bool in_port_area = false;
-    // Loitering window
-    RingBuffer<TrajectoryPoint> window;
+    LoiterWindow loiter;
     Timestamp last_loiter_alert = kInvalidTimestamp;
     // Illegal fishing accumulation per prohibited zone (tiny: linear scan)
     std::vector<std::pair<uint32_t, Timestamp>> fishing_since;
@@ -260,6 +282,9 @@ class PairEventEngine {
     TrajectoryPoint last;
     bool has_last = false;
     bool in_port_area = false;
+    /// CPA inputs of `last`, prepared when it was ingested; valid only when
+    /// `last` is collision-eligible (speed, course, minimum speed).
+    PreparedMotion motion;
   };
 
   struct PairState {
@@ -282,8 +307,14 @@ class PairEventEngine {
 
   void CheckRendezvous(const PairObservation& obs,
                        std::vector<DetectedEvent>* out);
-  void CheckCollision(const PairObservation& obs,
+  void CheckCollision(const PairObservation& obs, const PreparedMotion& self,
                       std::vector<DetectedEvent>* out);
+  /// CPA needs a full motion state: a sentinel (NaN) speed or course must
+  /// not reach it, and `sog < min` alone would let a NaN speed through.
+  bool CollisionEligible(const TrajectoryPoint& p) const {
+    return p.HasSpeed() && p.HasCourse() &&
+           p.sog_mps >= options_.collision_min_speed_mps;
+  }
 
   Options options_;
   // Open-addressing flat tables: iteration order is slot order, so every

@@ -450,5 +450,40 @@ TEST(RingBufferTest, SlidingWindowAgainstDeque) {
   EXPECT_TRUE(ring.empty());
 }
 
+TEST(RingBufferTest, PopBackAcrossWrapAndGrowthAgainstDeque) {
+  // Phases of push-heavy, balanced and pop-heavy traffic: the head walks
+  // around the buffer (wrap) and the buffer doubles several times (growth)
+  // while pops come off both ends.
+  Rng rng(11);
+  RingBuffer<uint32_t> ring;
+  std::deque<uint32_t> reference;
+  uint32_t next = 0;
+  for (int phase = 0; phase < 12; ++phase) {
+    const uint64_t push_weight = phase % 3 == 0 ? 6 : (phase % 3 == 1 ? 2 : 1);
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t op = rng.NextBounded(push_weight + 2);
+      if (reference.empty() || op < push_weight) {
+        ring.push_back(next);
+        reference.push_back(next);
+        ++next;
+      } else if (op == push_weight) {
+        ring.pop_back();
+        reference.pop_back();
+      } else {
+        ring.pop_front();
+        reference.pop_front();
+      }
+      ASSERT_EQ(ring.size(), reference.size());
+      if (!reference.empty()) {
+        ASSERT_EQ(ring.front(), reference.front());
+        ASSERT_EQ(ring.back(), reference.back());
+      }
+    }
+    for (size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(ring[i], reference[i]) << "phase " << phase;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace marlin

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -14,6 +17,7 @@
 #include "core/reconstruction.h"
 #include "core/synopses.h"
 #include "geo/geodesy.h"
+#include "reference/loiter_oracle.h"
 
 namespace marlin {
 namespace {
@@ -479,6 +483,142 @@ TEST_F(EventEngineTest, TransitingVesselNeverLoiters) {
   for (const auto& ev : events) {
     EXPECT_NE(ev.type, EventType::kLoitering);
   }
+}
+
+// --- Incremental loiter box vs brute-force oracle ---------------------------
+
+void ExpectBitEqualEvent(const DetectedEvent& a, const DetectedEvent& b,
+                         size_t index) {
+  EXPECT_EQ(a.type, b.type) << "event " << index;
+  EXPECT_EQ(a.start, b.start) << "event " << index;
+  EXPECT_EQ(a.end, b.end) << "event " << index;
+  EXPECT_EQ(a.vessel_a, b.vessel_a) << "event " << index;
+  EXPECT_EQ(a.vessel_b, b.vessel_b) << "event " << index;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.where.lat),
+            std::bit_cast<uint64_t>(b.where.lat))
+      << "event " << index;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.where.lon),
+            std::bit_cast<uint64_t>(b.where.lon))
+      << "event " << index;
+  EXPECT_EQ(a.zone_id, b.zone_id) << "event " << index;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.severity),
+            std::bit_cast<uint64_t>(b.severity))
+      << "event " << index;
+  EXPECT_EQ(a.detected_at, b.detected_at) << "event " << index;
+}
+
+// Seeded random multi-vessel stream for the loiter oracle. Each vessel
+// follows one regime: stationary jitter around a centre (at the origin,
+// where snapping makes ±0.0 coordinates, on the port boundary, or at sea),
+// a monotone transit, or a random walk. Coordinates snap to a grid so
+// equal extremes are common; time steps are multiples of 30 s so window
+// expiry, the 0.9×-duration gate and the re-alert gate all meet equality;
+// speeds come from a few values around the threshold, some unavailable.
+// Occasional gaps beyond the dark threshold clear the window.
+std::vector<ReconstructedPoint> LoiterStream(Rng* rng, int vessels,
+                                             int points_per_vessel) {
+  struct Track {
+    int regime;
+    GeoPoint centre;
+    double jitter_deg;
+    double dlat, dlon;  // transit step, degrees
+    double snap_deg;
+    Timestamp t;
+    GeoPoint pos;
+  };
+  const GeoPoint centres[] = {GeoPoint(0.0, 0.0), GeoPoint(41.377, 2.15),
+                              GeoPoint(39.0, 3.0)};
+  const double snaps[] = {1e-4, 1e-3, 5e-3};
+  const double jitters_m[] = {150.0, 900.0, 1800.0, 3000.0};
+  const float speeds[] = {0.5f, 1.0f, 1.5f, 1.5f, 2.0f, 2.5f,
+                          TrajectoryPoint::Unavailable()};
+  auto snap = [rng](double v, double q) {
+    const double s = std::round(v / q) * q;
+    return s == 0.0 ? std::copysign(0.0, rng->NextBounded(2) ? 1.0 : -1.0)
+                    : s;
+  };
+
+  std::vector<Track> tracks(static_cast<size_t>(vessels));
+  for (Track& tr : tracks) {
+    tr.regime = static_cast<int>(rng->NextBounded(3));
+    tr.centre = centres[rng->NextBounded(3)];
+    tr.jitter_deg = jitters_m[rng->NextBounded(4)] / 111195.0;
+    tr.dlat = rng->Uniform(-4e-4, 4e-4);
+    tr.dlon = rng->NextBounded(2) ? 0.0 : rng->Uniform(-4e-4, 4e-4);
+    tr.snap_deg = snaps[rng->NextBounded(3)];
+    tr.t = 1700000000000 + 30000 * rng->UniformInt(0, 20);
+    tr.pos = tr.centre;
+  }
+  std::vector<ReconstructedPoint> stream;
+  stream.reserve(static_cast<size_t>(vessels * points_per_vessel));
+  for (int i = 0; i < points_per_vessel; ++i) {
+    for (size_t v = 0; v < tracks.size(); ++v) {
+      Track& tr = tracks[v];
+      ReconstructedPoint rp;
+      rp.mmsi = static_cast<Mmsi>(100 + v);
+      DurationMs step = 30000 * rng->UniformInt(0, 6);
+      if (rng->NextBounded(100) == 0) {
+        step = Minutes(15) + 30000 * rng->UniformInt(1, 40);
+        rp.gap_before_ms = step;
+        rp.starts_segment = true;
+      }
+      tr.t += step;
+      switch (tr.regime) {
+        case 0:  // stationary jitter
+          tr.pos = GeoPoint(
+              tr.centre.lat + rng->Uniform(-tr.jitter_deg, tr.jitter_deg),
+              tr.centre.lon + rng->Uniform(-tr.jitter_deg, tr.jitter_deg));
+          break;
+        case 1:  // monotone transit
+          tr.pos = GeoPoint(tr.pos.lat + tr.dlat, tr.pos.lon + tr.dlon);
+          break;
+        default:  // random walk
+          tr.pos = GeoPoint(
+              tr.pos.lat + rng->Uniform(-1, 1) * tr.jitter_deg * 0.2,
+              tr.pos.lon + rng->Uniform(-1, 1) * tr.jitter_deg * 0.2);
+          break;
+      }
+      rp.point.t = tr.t;
+      rp.point.position = GeoPoint(snap(tr.pos.lat, tr.snap_deg),
+                                   snap(tr.pos.lon, tr.snap_deg));
+      rp.point.sog_mps = speeds[rng->NextBounded(std::size(speeds))];
+      rp.point.cog_deg = 90.0f;
+      stream.push_back(rp);
+    }
+  }
+  return stream;
+}
+
+TEST_F(EventEngineTest, IncrementalLoiterBoxMatchesBruteForceOracle) {
+  std::vector<EventRuleOptions> option_sets(3);
+  option_sets[1].loiter_min_duration = Minutes(10);
+  option_sets[1].loiter_realert_ms = Minutes(15);
+  option_sets[1].loiter_radius_m = 800.0;
+  option_sets[2].loiter_min_duration = Minutes(20);
+  option_sets[2].loiter_realert_ms = Minutes(20);
+  option_sets[2].loiter_radius_m = 1500.0;
+
+  size_t loiters = 0;
+  for (uint64_t seed = 1; seed <= 48; ++seed) {
+    Rng rng(seed);
+    const EventRuleOptions& options = option_sets[seed % option_sets.size()];
+    VesselEventEngine engine(&zones_, options);
+    reference::LoiterOracle oracle(&zones_, options);
+    std::vector<DetectedEvent> all, got, want;
+    for (const ReconstructedPoint& rp : LoiterStream(&rng, 6, 500)) {
+      engine.Ingest(rp, &all);
+      oracle.Ingest(rp, &want);
+    }
+    for (const DetectedEvent& ev : all) {
+      if (ev.type == EventType::kLoitering) got.push_back(ev);
+    }
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ExpectBitEqualEvent(got[i], want[i], i);
+    }
+    loiters += got.size();
+  }
+  EXPECT_GT(loiters, 200u);  // the streams do exercise the alert path
 }
 
 TEST_F(EventEngineTest, SpoofEventsFromRejections) {

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "geo/geodesy.h"
 #include "geo/geometry.h"
 #include "geo/kinematics.h"
+#include "reference/cpa_reference.h"
 
 namespace marlin {
 namespace {
@@ -411,6 +415,76 @@ TEST(CpaTest, CrossingGeometry) {
   EXPECT_TRUE(cpa.converging);
   EXPECT_GT(cpa.distance_m, 0.0);
   EXPECT_LT(cpa.distance_m, 5000.0);
+}
+
+// Seeded pair generator for the bit-identity check: each class aims at a
+// branch or a numerically delicate corner of the CPA computation.
+std::pair<MotionState, MotionState> CpaPair(Rng* rng, int kind) {
+  MotionState a, b;
+  a.position = GeoPoint(rng->Uniform(-85.0, 85.0), rng->Uniform(-180.0, 180.0));
+  a.speed_mps = rng->Uniform(0.0, 15.0);
+  a.course_deg = rng->Uniform(0.0, 360.0);
+  b.speed_mps = rng->Uniform(0.0, 15.0);
+  b.course_deg = rng->Uniform(0.0, 360.0);
+  b.position = Destination(a.position, rng->Uniform(0.0, 360.0),
+                           rng->Uniform(0.0, 12000.0));
+  switch (kind) {
+    case 0:  // the default draw: neighbours within a collision scan radius
+      break;
+    case 1:  // anywhere on the globe
+      b.position =
+          GeoPoint(rng->Uniform(-90.0, 90.0), rng->Uniform(-180.0, 180.0));
+      break;
+    case 2: {  // coincident or nearly (midpoint shortcut at d < 1e-12)
+      const double eps = rng->NextBounded(2) ? 0.0 : rng->Uniform(0.0, 2e-10);
+      b.position = GeoPoint(a.position.lat + eps, a.position.lon - eps);
+      break;
+    }
+    case 3:  // near-zero relative velocity (dv² around 1e-9)
+      b.course_deg = a.course_deg;
+      b.speed_mps = a.speed_mps + (rng->NextBounded(3) == 0
+                                       ? 0.0
+                                       : rng->Uniform(-6e-5, 6e-5));
+      break;
+    case 4: {  // straddling the antimeridian
+      const double east = 180.0 - rng->Uniform(0.0, 0.05);
+      const double west = -180.0 + rng->Uniform(0.0, 0.05);
+      a.position.lon = rng->NextBounded(8) == 0 ? -180.0 : west;
+      b.position = GeoPoint(a.position.lat + rng->Uniform(-0.05, 0.05),
+                            rng->NextBounded(8) == 0 ? 180.0 : east);
+      break;
+    }
+    default: {  // high latitudes, poles included
+      const double sign = rng->NextBounded(2) ? 1.0 : -1.0;
+      a.position.lat = rng->NextBounded(16) == 0
+                           ? sign * 90.0
+                           : sign * rng->Uniform(80.0, 90.0);
+      b.position = GeoPoint(
+          std::clamp(a.position.lat + rng->Uniform(-0.1, 0.1), -90.0, 90.0),
+          rng->Uniform(-180.0, 180.0));
+      break;
+    }
+  }
+  return {a, b};
+}
+
+TEST(CpaTest, PreparedFormBitIdenticalToReference) {
+  Rng rng(2024);
+  size_t converging = 0;
+  for (int i = 0; i < 120000; ++i) {
+    const auto [a, b] = CpaPair(&rng, i % 6);
+    const CpaResult got = ComputeCpa(a, b);
+    const CpaResult want = reference::ReferenceCpa(a, b);
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.tcpa_s),
+              std::bit_cast<uint64_t>(want.tcpa_s))
+        << "pair " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.distance_m),
+              std::bit_cast<uint64_t>(want.distance_m))
+        << "pair " << i;
+    ASSERT_EQ(got.converging, want.converging) << "pair " << i;
+    converging += got.converging;
+  }
+  EXPECT_GT(converging, 10000u);
 }
 
 TEST(DeadReckonTest, AdvancesAlongCourse) {

@@ -452,6 +452,9 @@ TEST(QueryServingTest, DrainEnrichedOrderedMatchesSequential) {
   const ScenarioOutput scenario = MakeScenario(7106, true);
   PipelineConfig pc = ArchiveConfig();
   pc.enriched_output_capacity = 1 << 20;  // no drops: exact comparison
+  // An input queue as deep as the scenario cannot shed, however far the
+  // enrichment worker falls behind (CPU oversubscription).
+  pc.enrichment_queue_depth = scenario.nmea.size();
 
   MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
                               nullptr);
