@@ -32,6 +32,7 @@
 #include "core/query_engine.h"
 #include "core/sharded_pipeline.h"
 #include "net/tcp_ingest_server.h"
+#include "reference/byte_codec.h"
 #include "stream/channel.h"
 #include "stream/queue.h"
 #include "stream/frame.h"
@@ -110,9 +111,10 @@ void PrintArchitectureRun() {
 }
 
 // The byte-per-bit decode loop: PR 4's zero-copy parse + fragment assembly
-// feeding the frozen byte-vector bit layer (`UnarmorPayloadInto` over a
-// vector<uint8_t> of 0/1 + byte `DecodeMessageBits`) — the reference arm of
-// BM_DecodeMicro's packed-vs-byte axis. Mirrors AisDecoder::Assemble
+// feeding the frozen byte-per-bit reference codec of
+// tests/reference/byte_codec.h (`reference::UnarmorPayloadInto` over a
+// vector<uint8_t> of 0/1 + `reference::DecodeMessageBits`) — the reference
+// arm of BM_DecodeMicro's packed-vs-byte axis. Mirrors AisDecoder::Assemble
 // including the receiver-time stamping so the two arms differ only in the
 // bit representation.
 class ByteBitDecoder {
@@ -124,12 +126,12 @@ class ByteBitDecoder {
     const auto assembled =
         assembler_.Add(parsed.sentence, parsed.received_at);
     if (!assembled.ok() || !assembled->has_value()) return std::nullopt;
-    if (!UnarmorPayloadInto((*assembled)->payload, (*assembled)->fill_bits,
-                            &bits_scratch_)
+    if (!reference::UnarmorPayloadInto((*assembled)->payload,
+                                       (*assembled)->fill_bits, &bits_scratch_)
              .ok()) {
       return std::nullopt;
     }
-    Result<AisMessage> msg = DecodeMessageBits(bits_scratch_);
+    Result<AisMessage> msg = reference::DecodeMessageBits(bits_scratch_);
     if (!msg.ok()) return std::nullopt;
     AisMessage out = std::move(*msg);
     const Timestamp stamp = parsed.received_at;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "ais/sixbit.h"
+#include <string>
+#include <type_traits>
+#include <variant>
 
 namespace marlin {
 namespace {
@@ -44,26 +45,7 @@ struct CommonHeader {
   Mmsi mmsi = 0;
 };
 
-// The field layout below is templated over the reader/writer so the packed
-// (`PackedBitReader`/`PackedBitWriter`) and frozen byte-per-bit
-// (`BitReader`/`BitWriter`) paths decode and encode the exact same field
-// sequence — the differential suites then pin the two *extraction layers*
-// against each other over the full corpus.
-
-template <typename Reader>
-Result<CommonHeader> ReadHeader(Reader* r) {
-  CommonHeader h;
-  MARLIN_ASSIGN_OR_RETURN(uint32_t type, r->ReadUnsigned(6));
-  MARLIN_ASSIGN_OR_RETURN(uint32_t repeat, r->ReadUnsigned(2));
-  MARLIN_ASSIGN_OR_RETURN(uint32_t mmsi, r->ReadUnsigned(30));
-  h.type = static_cast<int>(type);
-  h.repeat = static_cast<int>(repeat);
-  h.mmsi = mmsi;
-  return h;
-}
-
-// Packed fast path: the 38-bit common header in one word read. The split is
-// bit-identical to the three field reads the generic template performs, and
+// The 38-bit common header in one word read: type(6) repeat(2) mmsi(30).
 // `DecodeMessageBits` has already guaranteed at least 38 bits.
 Result<CommonHeader> ReadHeader(PackedBitReader* r) {
   MARLIN_ASSIGN_OR_RETURN(uint64_t v, r->ReadUnsigned(38));
@@ -74,47 +56,13 @@ Result<CommonHeader> ReadHeader(PackedBitReader* r) {
   return h;
 }
 
-template <typename Writer>
-void WriteHeader(Writer* w, int type, int repeat, Mmsi mmsi) {
+void WriteHeader(PackedBitWriter* w, int type, int repeat, Mmsi mmsi) {
   w->WriteUnsigned(static_cast<uint32_t>(type), 6);
   w->WriteUnsigned(static_cast<uint32_t>(repeat), 2);
   w->WriteUnsigned(mmsi, 30);
 }
 
 // --- Decoders --------------------------------------------------------------
-
-template <typename Reader>
-Result<AisMessage> DecodeClassAPosition(const CommonHeader& h, Reader* r) {
-  PositionReport m;
-  m.message_type = h.type;
-  m.repeat_indicator = h.repeat;
-  m.mmsi = h.mmsi;
-  MARLIN_ASSIGN_OR_RETURN(uint32_t status, r->ReadUnsigned(4));
-  m.nav_status = static_cast<NavigationStatus>(status);
-  MARLIN_ASSIGN_OR_RETURN(int32_t rot, r->ReadSigned(8));
-  m.rate_of_turn = rot;
-  MARLIN_ASSIGN_OR_RETURN(uint32_t sog, r->ReadUnsigned(10));
-  m.sog_knots = DequantizeSog(sog);
-  MARLIN_ASSIGN_OR_RETURN(uint32_t acc, r->ReadUnsigned(1));
-  m.position_accurate = acc != 0;
-  MARLIN_ASSIGN_OR_RETURN(int32_t lon, r->ReadSigned(28));
-  MARLIN_ASSIGN_OR_RETURN(int32_t lat, r->ReadSigned(27));
-  m.position = GeoPoint(DequantizeLonLat(lat), DequantizeLonLat(lon));
-  MARLIN_ASSIGN_OR_RETURN(uint32_t cog, r->ReadUnsigned(12));
-  m.cog_deg = DequantizeCog(cog);
-  MARLIN_ASSIGN_OR_RETURN(uint32_t hdg, r->ReadUnsigned(9));
-  m.true_heading = static_cast<int>(hdg);
-  MARLIN_ASSIGN_OR_RETURN(uint32_t ts, r->ReadUnsigned(6));
-  m.utc_second = static_cast<int>(ts);
-  MARLIN_ASSIGN_OR_RETURN(uint32_t man, r->ReadUnsigned(2));
-  m.maneuver_indicator = static_cast<int>(man);
-  MARLIN_RETURN_NOT_OK(r->Skip(3));  // spare
-  MARLIN_ASSIGN_OR_RETURN(uint32_t raim, r->ReadUnsigned(1));
-  m.raim = raim != 0;
-  MARLIN_ASSIGN_OR_RETURN(uint32_t radio, r->ReadUnsigned(19));
-  m.radio_status = radio;
-  return AisMessage(m);
-}
 
 /// Sign-extends the low `width` bits of a wide-read field (identical to
 /// `ReadSigned` on a reader positioned at the field).
@@ -125,12 +73,12 @@ inline int32_t SignExtendField(uint64_t raw, int width) {
                               static_cast<int64_t>(sign));
 }
 
-// Packed fast path for the dominant steady-state shape: the 130-bit
-// position-report body in three wide word reads instead of thirteen field
-// reads. Field boundaries and values are bit-identical to the generic
-// template above (the corpus differential sweeps every truncation point of
-// every type to prove it); any mid-body truncation fails with the same
-// "bit stream exhausted" status the field-by-field path produces.
+// The dominant steady-state shape: the 130-bit position-report body in
+// three wide word reads instead of thirteen field reads. Field boundaries
+// and values are bit-identical to a field-by-field read (packed_bits_test
+// sweeps every truncation point of every type against the byte-per-bit
+// reference codec to prove it); any mid-body truncation fails with the same
+// "bit stream exhausted" status a field read would.
 Result<AisMessage> DecodeClassAPosition(const CommonHeader& h,
                                         PackedBitReader* r) {
   PositionReport m;
@@ -159,8 +107,8 @@ Result<AisMessage> DecodeClassAPosition(const CommonHeader& h,
   return AisMessage(m);
 }
 
-template <typename Reader>
-Result<AisMessage> DecodeBaseStation(const CommonHeader& h, Reader* r) {
+Result<AisMessage> DecodeBaseStation(const CommonHeader& h,
+                                     PackedBitReader* r) {
   BaseStationReport m;
   m.repeat_indicator = h.repeat;
   m.mmsi = h.mmsi;
@@ -191,8 +139,8 @@ Result<AisMessage> DecodeBaseStation(const CommonHeader& h, Reader* r) {
   return AisMessage(m);
 }
 
-template <typename Reader>
-Result<AisMessage> DecodeStaticVoyage(const CommonHeader& h, Reader* r) {
+Result<AisMessage> DecodeStaticVoyage(const CommonHeader& h,
+                                      PackedBitReader* r) {
   StaticVoyageData m;
   m.repeat_indicator = h.repeat;
   m.mmsi = h.mmsi;
@@ -230,38 +178,8 @@ Result<AisMessage> DecodeStaticVoyage(const CommonHeader& h, Reader* r) {
   return AisMessage(m);
 }
 
-template <typename Reader>
-Result<AisMessage> DecodeClassBPosition(const CommonHeader& h, Reader* r) {
-  PositionReport m;
-  m.message_type = 18;
-  m.repeat_indicator = h.repeat;
-  m.mmsi = h.mmsi;
-  MARLIN_RETURN_NOT_OK(r->Skip(8));  // regional reserved
-  MARLIN_ASSIGN_OR_RETURN(uint32_t sog, r->ReadUnsigned(10));
-  m.sog_knots = DequantizeSog(sog);
-  MARLIN_ASSIGN_OR_RETURN(uint32_t acc, r->ReadUnsigned(1));
-  m.position_accurate = acc != 0;
-  MARLIN_ASSIGN_OR_RETURN(int32_t lon, r->ReadSigned(28));
-  MARLIN_ASSIGN_OR_RETURN(int32_t lat, r->ReadSigned(27));
-  m.position = GeoPoint(DequantizeLonLat(lat), DequantizeLonLat(lon));
-  MARLIN_ASSIGN_OR_RETURN(uint32_t cog, r->ReadUnsigned(12));
-  m.cog_deg = DequantizeCog(cog);
-  MARLIN_ASSIGN_OR_RETURN(uint32_t hdg, r->ReadUnsigned(9));
-  m.true_heading = static_cast<int>(hdg);
-  MARLIN_ASSIGN_OR_RETURN(uint32_t ts, r->ReadUnsigned(6));
-  m.utc_second = static_cast<int>(ts);
-  MARLIN_RETURN_NOT_OK(r->Skip(2));  // regional reserved
-  MARLIN_RETURN_NOT_OK(r->Skip(5));  // CS/display/DSC/band/msg22 flags
-  MARLIN_RETURN_NOT_OK(r->Skip(1));  // assigned
-  MARLIN_ASSIGN_OR_RETURN(uint32_t raim, r->ReadUnsigned(1));
-  m.raim = raim != 0;
-  MARLIN_ASSIGN_OR_RETURN(uint32_t radio, r->ReadUnsigned(20));
-  m.radio_status = radio;
-  return AisMessage(m);
-}
-
-// Packed fast path for the Class-B body (type 18), mirroring the Class-A
-// wide-read layout above.
+// The Class-B body (type 18) in wide reads, mirroring the Class-A layout
+// above.
 Result<AisMessage> DecodeClassBPosition(const CommonHeader& h,
                                         PackedBitReader* r) {
   PositionReport m;
@@ -287,8 +205,8 @@ Result<AisMessage> DecodeClassBPosition(const CommonHeader& h,
   return AisMessage(m);
 }
 
-template <typename Reader>
-Result<AisMessage> DecodeExtendedClassBMsg(const CommonHeader& h, Reader* r) {
+Result<AisMessage> DecodeExtendedClassBMsg(const CommonHeader& h,
+                                           PackedBitReader* r) {
   ExtendedClassBReport m;
   PositionReport& p = m.position_report;
   p.message_type = 19;
@@ -328,8 +246,7 @@ Result<AisMessage> DecodeExtendedClassBMsg(const CommonHeader& h, Reader* r) {
   return AisMessage(m);
 }
 
-template <typename Reader>
-Result<AisMessage> DecodeStaticData(const CommonHeader& h, Reader* r) {
+Result<AisMessage> DecodeStaticData(const CommonHeader& h, PackedBitReader* r) {
   StaticDataReport m;
   m.repeat_indicator = h.repeat;
   m.mmsi = h.mmsi;
@@ -359,34 +276,9 @@ Result<AisMessage> DecodeStaticData(const CommonHeader& h, Reader* r) {
   return AisMessage(m);
 }
 
-template <typename Reader>
-Result<AisMessage> DecodeWithReader(Reader* r) {
-  MARLIN_ASSIGN_OR_RETURN(CommonHeader h, ReadHeader(r));
-  switch (h.type) {
-    case 1:
-    case 2:
-    case 3:
-      return DecodeClassAPosition(h, r);
-    case 4:
-      return DecodeBaseStation(h, r);
-    case 5:
-      return DecodeStaticVoyage(h, r);
-    case 18:
-      return DecodeClassBPosition(h, r);
-    case 19:
-      return DecodeExtendedClassBMsg(h, r);
-    case 24:
-      return DecodeStaticData(h, r);
-    default:
-      return Status::NotImplemented("unsupported AIS message type " +
-                                    std::to_string(h.type));
-  }
-}
-
 // --- Encoders --------------------------------------------------------------
 
-template <typename Writer>
-Status EncodePositionReportInto(const PositionReport& m, Writer* w) {
+Status EncodePositionReportInto(const PositionReport& m, PackedBitWriter* w) {
   if (m.message_type == 18) {
     WriteHeader(w, 18, m.repeat_indicator, m.mmsi);
     w->WriteUnsigned(0, 8);  // regional reserved
@@ -424,8 +316,8 @@ Status EncodePositionReportInto(const PositionReport& m, Writer* w) {
   return Status::OK();
 }
 
-template <typename Writer>
-Status EncodeBaseStationReportInto(const BaseStationReport& m, Writer* w) {
+Status EncodeBaseStationReportInto(const BaseStationReport& m,
+                                   PackedBitWriter* w) {
   WriteHeader(w, 4, m.repeat_indicator, m.mmsi);
   w->WriteUnsigned(static_cast<uint32_t>(m.year), 14);
   w->WriteUnsigned(static_cast<uint32_t>(m.month), 4);
@@ -443,8 +335,8 @@ Status EncodeBaseStationReportInto(const BaseStationReport& m, Writer* w) {
   return Status::OK();
 }
 
-template <typename Writer>
-Status EncodeStaticVoyageDataInto(const StaticVoyageData& m, Writer* w) {
+Status EncodeStaticVoyageDataInto(const StaticVoyageData& m,
+                                  PackedBitWriter* w) {
   WriteHeader(w, 5, m.repeat_indicator, m.mmsi);
   w->WriteUnsigned(static_cast<uint32_t>(m.ais_version), 2);
   w->WriteUnsigned(m.imo_number, 30);
@@ -469,8 +361,8 @@ Status EncodeStaticVoyageDataInto(const StaticVoyageData& m, Writer* w) {
   return Status::OK();
 }
 
-template <typename Writer>
-Status EncodeExtendedClassBInto(const ExtendedClassBReport& m, Writer* w) {
+Status EncodeExtendedClassBInto(const ExtendedClassBReport& m,
+                                PackedBitWriter* w) {
   const PositionReport& p = m.position_report;
   WriteHeader(w, 19, p.repeat_indicator, p.mmsi);
   w->WriteUnsigned(0, 8);  // regional reserved
@@ -496,8 +388,8 @@ Status EncodeExtendedClassBInto(const ExtendedClassBReport& m, Writer* w) {
   return Status::OK();
 }
 
-template <typename Writer>
-Status EncodeStaticDataReportInto(const StaticDataReport& m, Writer* w) {
+Status EncodeStaticDataReportInto(const StaticDataReport& m,
+                                  PackedBitWriter* w) {
   WriteHeader(w, 24, m.repeat_indicator, m.mmsi);
   w->WriteUnsigned(static_cast<uint32_t>(m.part_number), 2);
   if (m.part_number == 0) {
@@ -520,8 +412,7 @@ Status EncodeStaticDataReportInto(const StaticDataReport& m, Writer* w) {
   return Status::OK();
 }
 
-template <typename Writer>
-Status EncodeMessageInto(const AisMessage& msg, Writer* w) {
+Status EncodeMessageInto(const AisMessage& msg, PackedBitWriter* w) {
   return std::visit(
       [w](const auto& m) -> Status {
         using T = std::decay_t<decltype(m)>;
@@ -547,59 +438,32 @@ Result<AisMessage> DecodeMessageBits(const PackedBits& bits) {
     return Status::Corruption("AIS payload shorter than common header");
   }
   PackedBitReader r(bits);
-  return DecodeWithReader(&r);
-}
-
-Result<AisMessage> DecodeMessageBits(const std::vector<uint8_t>& bits) {
-  if (bits.size() < 38) {
-    return Status::Corruption("AIS payload shorter than common header");
+  MARLIN_ASSIGN_OR_RETURN(CommonHeader h, ReadHeader(&r));
+  switch (h.type) {
+    case 1:
+    case 2:
+    case 3:
+      return DecodeClassAPosition(h, &r);
+    case 4:
+      return DecodeBaseStation(h, &r);
+    case 5:
+      return DecodeStaticVoyage(h, &r);
+    case 18:
+      return DecodeClassBPosition(h, &r);
+    case 19:
+      return DecodeExtendedClassBMsg(h, &r);
+    case 24:
+      return DecodeStaticData(h, &r);
+    default:
+      return Status::NotImplemented("unsupported AIS message type " +
+                                    std::to_string(h.type));
   }
-  BitReader r(bits);
-  return DecodeWithReader(&r);
 }
 
 Result<PackedBits> EncodeMessagePacked(const AisMessage& msg) {
   PackedBitWriter w;
   MARLIN_RETURN_NOT_OK(EncodeMessageInto(msg, &w));
   return std::move(w).TakeBits();
-}
-
-Result<std::vector<uint8_t>> EncodePositionReport(const PositionReport& m) {
-  BitWriter w;
-  MARLIN_RETURN_NOT_OK(EncodePositionReportInto(m, &w));
-  return w.bits();
-}
-
-Result<std::vector<uint8_t>> EncodeBaseStationReport(
-    const BaseStationReport& m) {
-  BitWriter w;
-  MARLIN_RETURN_NOT_OK(EncodeBaseStationReportInto(m, &w));
-  return w.bits();
-}
-
-Result<std::vector<uint8_t>> EncodeStaticVoyageData(const StaticVoyageData& m) {
-  BitWriter w;
-  MARLIN_RETURN_NOT_OK(EncodeStaticVoyageDataInto(m, &w));
-  return w.bits();
-}
-
-Result<std::vector<uint8_t>> EncodeExtendedClassB(
-    const ExtendedClassBReport& m) {
-  BitWriter w;
-  MARLIN_RETURN_NOT_OK(EncodeExtendedClassBInto(m, &w));
-  return w.bits();
-}
-
-Result<std::vector<uint8_t>> EncodeStaticDataReport(const StaticDataReport& m) {
-  BitWriter w;
-  MARLIN_RETURN_NOT_OK(EncodeStaticDataReportInto(m, &w));
-  return w.bits();
-}
-
-Result<std::vector<uint8_t>> EncodeMessageBits(const AisMessage& msg) {
-  BitWriter w;
-  MARLIN_RETURN_NOT_OK(EncodeMessageInto(msg, &w));
-  return w.bits();
 }
 
 }  // namespace marlin

@@ -3,18 +3,16 @@
 
 /// \file messages.h
 /// \brief Bit-exact encoders/decoders for the supported ITU-R M.1371
-/// message types. Encoding then decoding any supported message is lossless
-/// up to the wire quantisation (0.1 kt SOG, 1/10000 min positions, ...).
+/// message types (1, 2, 3, 4, 5, 18, 19, 24) over packed payload words
+/// (`PackedBits`, common/packed_bits.h). Encoding then decoding any
+/// supported message is lossless up to the wire quantisation (0.1 kt SOG,
+/// 1/10000 min positions, ...).
 ///
-/// The field layout logic is shared between two bit representations:
-/// the packed-word form (`PackedBits`, the hot path — `AisDecoder` and
-/// `AisEncoder` use only this) and the byte-per-bit form
-/// (`std::vector<uint8_t>` of 0/1), whose extraction layer
-/// (`BitReader`/`BitWriter`) is the frozen pre-packing implementation. The
-/// differential suites decode every corpus payload through both and require
-/// byte-identical messages, statuses, and counters.
-
-#include <vector>
+/// Position-report bodies decode in three wide word reads. The frozen
+/// byte-per-bit codec in tests/reference/byte_codec.h reads the same
+/// layouts one field at a time; the differential suites decode every
+/// corpus payload through both and require identical messages and
+/// statuses.
 
 #include "ais/types.h"
 #include "common/packed_bits.h"
@@ -22,37 +20,14 @@
 
 namespace marlin {
 
-/// \brief Decodes a packed-word payload into a typed AIS message (hot path).
+/// \brief Decodes a payload into a typed AIS message.
 ///
 /// Fails with Corruption for undersized payloads and NotImplemented for
 /// message types outside the supported set.
 Result<AisMessage> DecodeMessageBits(const PackedBits& bits);
 
-/// \brief Byte-per-bit overload: identical results via the frozen
-/// `BitReader` extraction layer (the differential suites' reference path).
-Result<AisMessage> DecodeMessageBits(const std::vector<uint8_t>& bits);
-
-/// \brief Encodes any supported message into packed words (hot path).
+/// \brief Encodes any supported message into packed words.
 Result<PackedBits> EncodeMessagePacked(const AisMessage& msg);
-
-/// \brief Encodes a position report (types 1/2/3 or 18) to bits.
-Result<std::vector<uint8_t>> EncodePositionReport(const PositionReport& m);
-
-/// \brief Encodes a base-station report (type 4) to bits.
-Result<std::vector<uint8_t>> EncodeBaseStationReport(const BaseStationReport& m);
-
-/// \brief Encodes static & voyage data (type 5) to bits.
-Result<std::vector<uint8_t>> EncodeStaticVoyageData(const StaticVoyageData& m);
-
-/// \brief Encodes an extended Class-B report (type 19) to bits.
-Result<std::vector<uint8_t>> EncodeExtendedClassB(const ExtendedClassBReport& m);
-
-/// \brief Encodes Class-B static data (type 24, part A or B) to bits.
-Result<std::vector<uint8_t>> EncodeStaticDataReport(const StaticDataReport& m);
-
-/// \brief Encodes any supported message to byte-per-bit form (the frozen
-/// `BitWriter` layer; tests and tools — hot paths use `EncodeMessagePacked`).
-Result<std::vector<uint8_t>> EncodeMessageBits(const AisMessage& msg);
 
 }  // namespace marlin
 

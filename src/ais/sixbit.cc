@@ -6,11 +6,11 @@
 namespace marlin {
 namespace {
 
-/// Shared armor-character validation for the untouched-or-complete contract:
-/// both de-armor representations validate the whole payload *before* the
-/// first write, so a corrupt payload can never leave a partially overwritten
-/// buffer. Valid armor characters are exactly the range 48..119 under the
-/// lenient (+48 / skip-8) rule the armoring uses.
+/// Armor-character validation for the untouched-or-complete contract: the
+/// whole payload is validated *before* the first write, so a corrupt payload
+/// can never leave a partially overwritten buffer. Valid armor characters
+/// are exactly the range 48..119 under the lenient (+48 / skip-8) rule the
+/// armoring uses.
 Status ValidateArmor(std::string_view payload, int fill_bits) {
   if (fill_bits < 0 || fill_bits > 5) {
     return Status::Invalid("fill bits must be 0..5");
@@ -40,93 +40,6 @@ inline uint32_t ArmorCharToSixBits(char c) {
 
 }  // namespace
 
-void BitWriter::WriteUnsigned(uint32_t value, int width) {
-  for (int i = width - 1; i >= 0; --i) {
-    bits_.push_back(static_cast<uint8_t>((value >> i) & 1u));
-  }
-}
-
-void BitWriter::WriteSigned(int32_t value, int width) {
-  WriteUnsigned(static_cast<uint32_t>(value) & ((width == 32)
-                                                    ? 0xFFFFFFFFu
-                                                    : ((1u << width) - 1u)),
-                width);
-}
-
-void BitWriter::WriteString(std::string_view text, int chars) {
-  for (int i = 0; i < chars; ++i) {
-    if (i < static_cast<int>(text.size())) {
-      WriteUnsigned(CharToSixBit(text[i]), 6);
-    } else {
-      WriteUnsigned(0, 6);  // '@' padding
-    }
-  }
-}
-
-Result<uint32_t> BitReader::ReadUnsigned(int width) {
-  if (width < 1 || width > 32) {
-    return Status::Invalid("bit field width out of range");
-  }
-  if (remaining() < width) {
-    return Status::OutOfRange("bit stream exhausted");
-  }
-  uint32_t v = 0;
-  for (int i = 0; i < width; ++i) {
-    v = (v << 1) | bits_[pos_++];
-  }
-  return v;
-}
-
-Result<int32_t> BitReader::ReadSigned(int width) {
-  MARLIN_ASSIGN_OR_RETURN(uint32_t raw, ReadUnsigned(width));
-  // Sign-extend from `width` bits.
-  if (width < 32 && (raw & (1u << (width - 1)))) {
-    raw |= ~((1u << width) - 1u);
-  }
-  return static_cast<int32_t>(raw);
-}
-
-Result<std::string> BitReader::ReadString(int chars) {
-  std::string out;
-  out.reserve(chars);
-  for (int i = 0; i < chars; ++i) {
-    MARLIN_ASSIGN_OR_RETURN(uint32_t v, ReadUnsigned(6));
-    out.push_back(SixBitToChar(v));
-  }
-  // Strip '@' padding and trailing spaces.
-  size_t end = out.find('@');
-  if (end != std::string::npos) out.resize(end);
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
-}
-
-Status BitReader::Skip(int width) {
-  if (remaining() < width) return Status::OutOfRange("bit stream exhausted");
-  pos_ += width;
-  return Status::OK();
-}
-
-std::string ArmorBits(const std::vector<uint8_t>& bits, int* fill_bits) {
-  std::string payload;
-  const int n = static_cast<int>(bits.size());
-  const int groups = (n + 5) / 6;
-  payload.reserve(groups);
-  int fill = groups * 6 - n;
-  for (int g = 0; g < groups; ++g) {
-    uint32_t v = 0;
-    for (int b = 0; b < 6; ++b) {
-      const int idx = g * 6 + b;
-      v = (v << 1) | (idx < n ? bits[idx] : 0);
-    }
-    // ITU armoring: add 48; values above 39 skip the 8 chars 'X'..'_'.
-    char c = static_cast<char>(v + 48);
-    if (v > 39) c = static_cast<char>(v + 56);
-    payload.push_back(c);
-  }
-  if (fill_bits != nullptr) *fill_bits = fill;
-  return payload;
-}
-
 std::string ArmorBits(const PackedBits& bits, int* fill_bits) {
   std::string payload;
   const int n = bits.size_bits();
@@ -141,33 +54,13 @@ std::string ArmorBits(const PackedBits& bits, int* fill_bits) {
       // the last group starts beyond the final word).
       v = (v << 1) | (idx < n && bits.GetBit(idx) ? 1u : 0u);
     }
+    // ITU armoring: add 48; values above 39 skip the 8 chars 'X'..'_'.
     char c = static_cast<char>(v + 48);
     if (v > 39) c = static_cast<char>(v + 56);
     payload.push_back(c);
   }
   if (fill_bits != nullptr) *fill_bits = groups * 6 - n;
   return payload;
-}
-
-Status UnarmorPayloadInto(std::string_view payload, int fill_bits,
-                          std::vector<uint8_t>* bits) {
-  MARLIN_RETURN_NOT_OK(ValidateArmor(payload, fill_bits));
-  // resize() alone (no clear()) avoids re-zeroing the whole buffer per
-  // line — every slot up to the new size is overwritten below.
-  bits->resize(payload.size() * 6);
-  uint8_t* out = bits->data();
-  for (const char c : payload) {
-    const uint32_t v = ArmorCharToSixBits(c);
-    out[0] = static_cast<uint8_t>((v >> 5) & 1);
-    out[1] = static_cast<uint8_t>((v >> 4) & 1);
-    out[2] = static_cast<uint8_t>((v >> 3) & 1);
-    out[3] = static_cast<uint8_t>((v >> 2) & 1);
-    out[4] = static_cast<uint8_t>((v >> 1) & 1);
-    out[5] = static_cast<uint8_t>(v & 1);
-    out += 6;
-  }
-  bits->resize(bits->size() - fill_bits);
-  return Status::OK();
 }
 
 Status UnarmorPayloadInto(std::string_view payload, int fill_bits,
@@ -215,14 +108,6 @@ Status UnarmorPayloadInto(std::string_view payload, int fill_bits,
   if (acc_bits != 0) bits->AppendBits(acc, acc_bits);
   bits->Truncate(bits->size_bits() - fill_bits);
   return Status::OK();
-}
-
-Result<std::vector<uint8_t>> UnarmorPayload(std::string_view payload,
-                                            int fill_bits) {
-  std::vector<uint8_t> bits;
-  Status st = UnarmorPayloadInto(payload, fill_bits, &bits);
-  if (!st.ok()) return st;
-  return bits;
 }
 
 }  // namespace marlin

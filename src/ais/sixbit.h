@@ -2,117 +2,39 @@
 #define MARLIN_AIS_SIXBIT_H_
 
 /// \file sixbit.h
-/// \brief Bit-level packing for ITU-R M.1371 AIS payloads.
+/// \brief 6-bit armoring of ITU-R M.1371 AIS payloads.
 ///
 /// AIS messages are dense bitfields transported as 6-bit-armored ASCII in
-/// NMEA AIVDM sentences. Two bit representations exist side by side:
+/// NMEA AIVDM sentences. The bits live in packed 64-bit words (`PackedBits`
+/// in `common/packed_bits.h`, MSB-first): de-armoring lands six bits per
+/// character directly into words, and field extraction is shift/mask. The
+/// frozen byte-per-bit layer (a `std::vector<uint8_t>` of 0/1, read one bit
+/// at a time) lives in tests/reference/byte_codec.h as the oracle the
+/// differential suites check this one against.
 ///
-///  * the **packed** form (`PackedBits` in `common/packed_bits.h`, 64-bit
-///    words, MSB-first) used by the decode/encode hot path — de-armoring
-///    lands six bits at a time directly into words and field extraction is
-///    shift/mask;
-///  * the **byte-per-bit** form (`BitWriter`/`BitReader` over a
-///    `std::vector<uint8_t>` of 0/1) — the pre-packing implementation, kept
-///    verbatim as the frozen reference the differential suites
-///    (tests/packed_bits_test.cc, tests/decode_equivalence_test.cc) decode
-///    against. New call sites should use the packed form.
-///
-/// Both `UnarmorPayloadInto` overloads share one error contract:
-/// **untouched-or-complete** — on any failure (bad fill-bit count, illegal
-/// armor character, payload shorter than its fill bits) the output buffer is
-/// left exactly as the caller passed it; on success it holds exactly the
-/// de-armored bits. Callers may therefore keep a pooled scratch buffer and
-/// never observe a partially overwritten state.
+/// `UnarmorPayloadInto` is **untouched-or-complete**: on any failure (bad
+/// fill-bit count, illegal armor character, payload shorter than its fill
+/// bits) the output buffer is left exactly as the caller passed it; on
+/// success it holds exactly the de-armored bits. Callers may therefore keep
+/// a pooled scratch buffer and never observe a partially overwritten state.
 
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/packed_bits.h"
-#include "common/result.h"
 #include "common/status.h"
 
 namespace marlin {
 
-/// \brief Append-only big-endian bit stream builder (byte-per-bit frozen
-/// reference; hot paths use `PackedBitWriter`).
-class BitWriter {
- public:
-  /// \brief Appends the low `width` bits of `value`, MSB first. Width 1..32.
-  void WriteUnsigned(uint32_t value, int width);
-
-  /// \brief Appends a two's-complement signed field of `width` bits.
-  void WriteSigned(int32_t value, int width);
-
-  /// \brief Appends a string in the AIS 6-bit alphabet, padded/truncated to
-  /// exactly `chars` characters ('@' = 0 pads the tail).
-  void WriteString(std::string_view text, int chars);
-
-  /// \brief Number of bits written so far.
-  int size_bits() const { return static_cast<int>(bits_.size()); }
-
-  /// \brief The accumulated bits (each element 0/1).
-  const std::vector<uint8_t>& bits() const { return bits_; }
-
- private:
-  std::vector<uint8_t> bits_;
-};
-
-/// \brief Sequential big-endian bit stream reader with bounds checking
-/// (byte-per-bit frozen reference; hot paths use `PackedBitReader`).
-class BitReader {
- public:
-  explicit BitReader(const std::vector<uint8_t>& bits) : bits_(bits) {}
-
-  /// \brief Reads `width` bits as an unsigned value. Width 1..32.
-  Result<uint32_t> ReadUnsigned(int width);
-
-  /// \brief Reads `width` bits as a two's-complement signed value.
-  Result<int32_t> ReadSigned(int width);
-
-  /// \brief Reads `chars` characters of AIS 6-bit text; trailing '@' padding
-  /// and trailing spaces are stripped.
-  Result<std::string> ReadString(int chars);
-
-  /// \brief Skips `width` bits (spare fields).
-  Status Skip(int width);
-
-  int remaining() const { return static_cast<int>(bits_.size()) - pos_; }
-  int position() const { return pos_; }
-
- private:
-  const std::vector<uint8_t>& bits_;
-  int pos_ = 0;
-};
-
-/// \brief Converts raw bits to the ASCII payload alphabet used in AIVDM
-/// sentences. `fill_bits` receives the number of zero bits appended to reach
-/// a 6-bit boundary.
-std::string ArmorBits(const std::vector<uint8_t>& bits, int* fill_bits);
-
-/// \brief Packed-word armoring; produces the identical payload string and
-/// fill count as the byte-per-bit overload for the same bit stream.
+/// \brief Converts packed bits to the ASCII payload alphabet used in AIVDM
+/// sentences. `fill_bits` receives the number of zero bits appended to
+/// reach a 6-bit boundary.
 std::string ArmorBits(const PackedBits& bits, int* fill_bits);
 
-/// \brief Converts an AIVDM payload back to raw bits; `fill_bits` trailing
-/// bits are dropped. Fails on characters outside the armoring alphabet.
-Result<std::vector<uint8_t>> UnarmorPayload(std::string_view payload,
-                                            int fill_bits);
-
-/// \brief Allocation-free de-armoring for the decode hot path (byte-per-bit
-/// form): refills `*bits` (capacity is retained across calls, so a
-/// caller-owned scratch vector makes the steady state heap-silent).
-/// Untouched-or-complete: on any error `*bits` is left exactly as passed.
-Status UnarmorPayloadInto(std::string_view payload, int fill_bits,
-                          std::vector<uint8_t>* bits);
-
-/// \brief Packed-word de-armoring for the decode hot path: lands six bits
-/// per payload character directly into 64-bit words. Produces the identical
-/// bit stream (and identical error statuses) as the byte-per-bit overload.
-/// Untouched-or-complete: on any error `*bits` is left exactly as passed;
-/// on success `*bits` is cleared and refilled (word capacity retained, so a
-/// pooled scratch keeps the steady state allocation-free).
+/// \brief De-armors an AIVDM payload for the decode hot path, dropping
+/// `fill_bits` trailing bits. Fails on characters outside the armoring
+/// alphabet. On success `*bits` is cleared and refilled (word capacity
+/// retained, so a pooled scratch keeps the steady state allocation-free).
 Status UnarmorPayloadInto(std::string_view payload, int fill_bits,
                           PackedBits* bits);
 

@@ -9,13 +9,13 @@
 /// a `std::vector<uint8_t>` holding one *byte per bit* and extracted fields
 /// one bit at a time. `PackedBits` stores the same stream packed MSB-first
 /// into 64-bit words, so a field of width w costs one or two shift/mask
-/// operations instead of w loads — the decode multiplier ROADMAP names
-/// after the zero-copy parse. The layer is generic (nothing AIS-specific
-/// except the 6-bit string alphabet helpers, which live here so both the
-/// packed and the frozen byte-per-bit implementations share one table).
+/// operations instead of w loads. The layer is generic (nothing
+/// AIS-specific except the 6-bit string alphabet helpers, which live here so
+/// the packed codec and the frozen byte-per-bit reference codec in
+/// tests/reference/byte_codec.h share one table).
 ///
-/// Conventions, shared with the byte-per-bit `BitWriter`/`BitReader` in
-/// `ais/sixbit.h` so the two representations are bit-for-bit convertible:
+/// Conventions, shared with that reference codec so the two representations
+/// are bit-for-bit convertible:
 ///  * bit 0 is the MSB of word 0 (big-endian bit order within each word),
 ///  * unsigned fields are big-endian, signed fields two's-complement,
 ///  * strings are the AIS 6-bit alphabet, 6 bits per character.

@@ -34,7 +34,7 @@ std::vector<DetectedEvent> MaritimePipeline::IngestNmea(
     dead_letters_.Push(DeadLetterReason::kBadPayload, line, ingest_time);
   }
   if (msg.has_value()) {
-    if (config_.enable_quality_assessment) quality_.Observe(*msg);
+    quality_.Observe(*msg);
     ProcessDecoded(*msg, ingest_time);
   }
   ++window_line_count_;
@@ -130,7 +130,7 @@ std::vector<DetectedEvent> MaritimePipeline::IngestPackedBatch(
       dead_letters_.PushCount(DeadLetterReason::kBadPayload, 1);
     }
     if (msg.has_value()) {
-      if (config_.enable_quality_assessment) quality_.Observe(*msg);
+      quality_.Observe(*msg);
       ProcessDecoded(*msg, ev.ingest_time);
     }
     ++window_line_count_;

@@ -75,10 +75,6 @@ struct PipelineConfig {
   bool enable_anomaly = false;
   IntegrityScorer::Options integrity;
   BehaviorChangeDetector::Options anomaly;
-  /// Store full-rate trajectories (true) or synopses only (false) — the
-  /// in-situ trade-off of E12.
-  bool store_full_rate = true;
-  bool enable_quality_assessment = true;
   /// Run the contextual-join side-stage at all. Off skips the stage
   /// entirely (the bench baseline for the enrichment-on/off axis).
   bool enable_enrichment = true;

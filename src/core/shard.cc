@@ -111,14 +111,8 @@ void PipelineShardCore::ProcessPoint(const ReconstructedPoint& rp,
     synopsis_log_.push_back(cp);
   }
 
-  // Storage stage: full rate, or synopsis-only (in-situ mode).
-  if (config_.store_full_rate) {
-    (void)store_.Append(rp.mmsi, rp.point);
-  } else {
-    for (const CriticalPoint& cp : critical_scratch_) {
-      (void)store_.Append(cp.mmsi, cp.point);
-    }
-  }
+  // Storage stage: the full-rate trajectory.
+  (void)store_.Append(rp.mmsi, rp.point);
 
   // Historical archive staging: a pooled vector push per clean point, cut
   // into blocks at window close. Same clean points every arrangement, so

@@ -22,10 +22,6 @@ ShardedPipeline::ShardedPipeline(const PipelineConfig& config,
       registry_b_(registry_b),
       pair_events_(config.events),
       dead_letters_(config.dead_letter_capacity) {
-  // Shards writing the legacy single LSM archive concurrently would race;
-  // strip it. The serving tier's per-shard archives (config_.archive) take
-  // its place: each shard core owns partition "shard_<i>".
-  config_.store.archive = nullptr;
   rebuild_config_ = config_;
   rebuild_config_.archive.recover_on_open = false;
   const size_t n = router_.num_shards();
@@ -313,7 +309,7 @@ void ShardedPipeline::AssembleAndRoute(
                          ingest_time);
     }
     if (!msg.has_value()) continue;
-    if (config_.enable_quality_assessment) quality_.Observe(*msg);
+    quality_.Observe(*msg);
 
     if (const auto* sv = std::get_if<StaticVoyageData>(&*msg)) {
       window->routed[router_.ShardFor(sv->mmsi)].push_back(

@@ -78,13 +78,11 @@ class ShardedPipeline {
     size_t queue_capacity = 4;
   };
 
-  /// \brief Context sources may be null. The legacy single-store LSM
-  /// archive option (`TrajectoryStore::Options::archive`) is stripped from
-  /// the shard configs — partitions would race on one archive. The serving
-  /// tier replaces it: with `PipelineConfig::archive.enabled`, every shard
-  /// owns its own `ShardArchive` partition (directory suffix "shard_<i>")
-  /// whose epochs close at the shared window boundaries, so N-shard
-  /// archives are block-identical to the sequential pipeline's.
+  /// \brief Context sources may be null. With
+  /// `PipelineConfig::archive.enabled`, every shard owns its own
+  /// `ShardArchive` partition (directory suffix "shard_<i>") whose epochs
+  /// close at the shared window boundaries, so N-shard archives are
+  /// block-identical to the sequential pipeline's.
   ShardedPipeline(const PipelineConfig& config, const Options& options,
                   const ZoneDatabase* zones, const WeatherProvider* weather,
                   const VesselRegistry* registry_a,

@@ -81,29 +81,4 @@ bool DecodeTrajectoryKey(std::string_view key, uint32_t* mmsi, Timestamp* t) {
   return true;
 }
 
-std::string EncodeTrajectoryValue(const TrajectoryPoint& p) {
-  std::string v;
-  v.reserve(24);
-  PutDoubleLE(&v, p.position.lat);
-  PutDoubleLE(&v, p.position.lon);
-  uint32_t sog_bits, cog_bits;
-  static_assert(sizeof(float) == 4);
-  std::memcpy(&sog_bits, &p.sog_mps, 4);
-  std::memcpy(&cog_bits, &p.cog_deg, 4);
-  PutFixed32BE(&v, sog_bits);
-  PutFixed32BE(&v, cog_bits);
-  return v;
-}
-
-bool DecodeTrajectoryValue(std::string_view value, TrajectoryPoint* out) {
-  if (value.size() != 24) return false;
-  out->position.lat = GetDoubleLE(value, 0);
-  out->position.lon = GetDoubleLE(value, 8);
-  const uint32_t sog_bits = GetFixed32BE(value, 16);
-  const uint32_t cog_bits = GetFixed32BE(value, 20);
-  std::memcpy(&out->sog_mps, &sog_bits, 4);
-  std::memcpy(&out->cog_deg, &cog_bits, 4);
-  return true;
-}
-
 }  // namespace marlin

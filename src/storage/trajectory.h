@@ -92,13 +92,6 @@ std::string EncodeTrajectoryKey(uint32_t mmsi, Timestamp t);
 /// \brief Inverse of EncodeTrajectoryKey. Returns false on malformed keys.
 bool DecodeTrajectoryKey(std::string_view key, uint32_t* mmsi, Timestamp* t);
 
-/// \brief Fixed binary encoding of a TrajectoryPoint value (position, speed,
-/// course; 24 bytes).
-std::string EncodeTrajectoryValue(const TrajectoryPoint& p);
-
-/// \brief Inverse of EncodeTrajectoryValue; returns false on size mismatch.
-bool DecodeTrajectoryValue(std::string_view value, TrajectoryPoint* out);
-
 }  // namespace marlin
 
 #endif  // MARLIN_STORAGE_TRAJECTORY_H_

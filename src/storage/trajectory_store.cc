@@ -5,7 +5,7 @@
 namespace marlin {
 
 TrajectoryStore::TrajectoryStore(const Options& options)
-    : options_(options), live_index_(options.grid_cell_deg) {}
+    : live_index_(options.grid_cell_deg) {}
 
 Status TrajectoryStore::Append(uint32_t mmsi, const TrajectoryPoint& point) {
   if (point.t == kInvalidTimestamp || !point.position.IsValid()) {
@@ -22,10 +22,6 @@ Status TrajectoryStore::Append(uint32_t mmsi, const TrajectoryPoint& point) {
   data.bounds.Extend(point.position);
   live_index_.Upsert(mmsi, point.position);
   ++point_count_;
-  if (options_.archive != nullptr) {
-    MARLIN_RETURN_NOT_OK(options_.archive->Put(
-        EncodeTrajectoryKey(mmsi, point.t), EncodeTrajectoryValue(point)));
-  }
   return Status::OK();
 }
 
@@ -113,35 +109,6 @@ std::vector<uint32_t> TrajectoryStore::Vessels() const {
   out.reserve(trajectories_.size());
   for (const auto& [mmsi, _] : trajectories_) out.push_back(mmsi);
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-Result<Trajectory> TrajectoryStore::LoadFromArchive(uint32_t mmsi,
-                                                    Timestamp t0,
-                                                    Timestamp t1) const {
-  if (options_.archive == nullptr) {
-    return Status::Invalid("trajectory store has no archive attached");
-  }
-  Trajectory out;
-  out.mmsi = mmsi;
-  const std::string start = EncodeTrajectoryKey(mmsi, t0);
-  // End key: t1 + 1 keeps the scan end-exclusive while the API is inclusive;
-  // saturate at the maximum to avoid signed overflow for open-ended scans.
-  const std::string end =
-      t1 >= kMaxTimestamp
-          ? EncodeTrajectoryKey(mmsi, kMaxTimestamp)
-          : EncodeTrajectoryKey(mmsi, t1 + 1);
-  for (const auto& [key, value] : options_.archive->Scan(start, end)) {
-    uint32_t k_mmsi = 0;
-    TrajectoryPoint p;
-    if (!DecodeTrajectoryKey(key, &k_mmsi, &p.t) || k_mmsi != mmsi) continue;
-    TrajectoryPoint decoded;
-    if (!DecodeTrajectoryValue(value, &decoded)) {
-      return Status::Corruption("bad archived trajectory value");
-    }
-    decoded.t = p.t;
-    out.points.push_back(decoded);
-  }
   return out;
 }
 

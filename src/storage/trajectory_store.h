@@ -6,8 +6,8 @@
 /// says generic (RDF / relational) stores fail to provide (§2.3, §2.5).
 ///
 /// Combines three access paths:
-///  * per-vessel time-ordered history (vector per MMSI, archival via LSM key
-///    schema on request),
+///  * per-vessel time-ordered history (vector per MMSI; the durable,
+///    queryable history is the per-shard `ShardArchive`, storage/archive.h),
 ///  * live spatial picture (GridIndex of latest positions),
 ///  * spatio-temporal window queries (per-vessel binary search pruned by a
 ///    per-vessel bounding box).
@@ -20,20 +20,16 @@
 
 #include "common/result.h"
 #include "storage/grid_index.h"
-#include "storage/lsm_store.h"
 #include "storage/trajectory.h"
 
 namespace marlin {
 
-/// \brief In-memory trajectory manager with optional LSM archival backing.
+/// \brief In-memory trajectory manager.
 class TrajectoryStore {
  public:
   struct Options {
     /// Grid pitch for the live-position index.
     double grid_cell_deg = 0.25;
-    /// When set, every appended point is also written to this LSM store
-    /// using the `[mmsi][timestamp]` key schema.
-    LsmStore* archive = nullptr;
   };
 
   TrajectoryStore() : TrajectoryStore(Options()) {}
@@ -79,18 +75,12 @@ class TrajectoryStore {
   /// \brief All MMSIs in the store.
   std::vector<uint32_t> Vessels() const;
 
-  /// \brief Loads a vessel's history back from the archive LSM (round-trip
-  /// path used by recovery tests and the posteriori-analysis benchmark).
-  Result<Trajectory> LoadFromArchive(uint32_t mmsi, Timestamp t0,
-                                     Timestamp t1) const;
-
  private:
   struct VesselData {
     Trajectory trajectory;
     BoundingBox bounds = BoundingBox::Empty();
   };
 
-  Options options_;
   std::unordered_map<uint32_t, VesselData> trajectories_;
   GridIndex live_index_;
   size_t point_count_ = 0;

@@ -14,14 +14,14 @@
 namespace marlin {
 namespace {
 
-// --- BitWriter / BitReader -------------------------------------------------
+// --- PackedBitWriter / PackedBitReader -------------------------------------
 
 TEST(SixBitTest, WriteReadUnsigned) {
-  BitWriter w;
+  PackedBitWriter w;
   w.WriteUnsigned(0b101101, 6);
   w.WriteUnsigned(1023, 10);
   w.WriteUnsigned(0, 1);
-  BitReader r(w.bits());
+  PackedBitReader r(w.bits());
   EXPECT_EQ(*r.ReadUnsigned(6), 0b101101u);
   EXPECT_EQ(*r.ReadUnsigned(10), 1023u);
   EXPECT_EQ(*r.ReadUnsigned(1), 0u);
@@ -29,14 +29,14 @@ TEST(SixBitTest, WriteReadUnsigned) {
 
 TEST(SixBitTest, SignedRoundTripSweep) {
   for (int width : {8, 12, 17, 27, 28, 32}) {
-    BitWriter w;
+    PackedBitWriter w;
     const int32_t lo = width == 32 ? INT32_MIN : -(1 << (width - 1));
     const int32_t hi = width == 32 ? INT32_MAX : (1 << (width - 1)) - 1;
     w.WriteSigned(lo, width);
     w.WriteSigned(hi, width);
     w.WriteSigned(-1, width);
     w.WriteSigned(0, width);
-    BitReader r(w.bits());
+    PackedBitReader r(w.bits());
     EXPECT_EQ(*r.ReadSigned(width), lo) << "width " << width;
     EXPECT_EQ(*r.ReadSigned(width), hi) << "width " << width;
     EXPECT_EQ(*r.ReadSigned(width), -1) << "width " << width;
@@ -45,31 +45,31 @@ TEST(SixBitTest, SignedRoundTripSweep) {
 }
 
 TEST(SixBitTest, ReaderBoundsChecked) {
-  BitWriter w;
+  PackedBitWriter w;
   w.WriteUnsigned(5, 8);
-  BitReader r(w.bits());
+  PackedBitReader r(w.bits());
   EXPECT_TRUE(r.ReadUnsigned(8).ok());
   EXPECT_TRUE(r.ReadUnsigned(1).status().IsOutOfRange());
 }
 
 TEST(SixBitTest, StringRoundTrip) {
-  BitWriter w;
+  PackedBitWriter w;
   w.WriteString("SEA STAR 42", 20);
-  BitReader r(w.bits());
+  PackedBitReader r(w.bits());
   EXPECT_EQ(*r.ReadString(20), "SEA STAR 42");
 }
 
 TEST(SixBitTest, StringPaddingStripped) {
-  BitWriter w;
+  PackedBitWriter w;
   w.WriteString("X", 10);
-  BitReader r(w.bits());
+  PackedBitReader r(w.bits());
   EXPECT_EQ(*r.ReadString(10), "X");
 }
 
 TEST(SixBitTest, StringLowercaseUppercased) {
-  BitWriter w;
+  PackedBitWriter w;
   w.WriteString("abc", 3);
-  BitReader r(w.bits());
+  PackedBitReader r(w.bits());
   EXPECT_EQ(*r.ReadString(3), "ABC");
 }
 
@@ -83,7 +83,7 @@ TEST(SixBitTest, AlphabetRoundTrip) {
 TEST(SixBitTest, ArmorUnarmorRoundTrip) {
   Rng rng(53);
   for (int trial = 0; trial < 50; ++trial) {
-    BitWriter w;
+    PackedBitWriter w;
     const int nbits = 6 + static_cast<int>(rng.NextBounded(400));
     for (int i = 0; i < nbits; ++i) {
       w.WriteUnsigned(rng.NextBounded(2), 1);
@@ -91,15 +91,16 @@ TEST(SixBitTest, ArmorUnarmorRoundTrip) {
     int fill = 0;
     const std::string payload = ArmorBits(w.bits(), &fill);
     EXPECT_LE(fill, 5);
-    const auto bits = UnarmorPayload(payload, fill);
-    ASSERT_TRUE(bits.ok());
-    EXPECT_EQ(*bits, w.bits());
+    PackedBits bits;
+    ASSERT_TRUE(UnarmorPayloadInto(payload, fill, &bits).ok());
+    EXPECT_EQ(bits, w.bits());
   }
 }
 
 TEST(SixBitTest, UnarmorRejectsIllegalChars) {
-  EXPECT_TRUE(UnarmorPayload("ab\x19z", 0).status().IsCorruption());
-  EXPECT_TRUE(UnarmorPayload("15M", 6).status().IsInvalid());
+  PackedBits bits;
+  EXPECT_TRUE(UnarmorPayloadInto("ab\x19z", 0, &bits).IsCorruption());
+  EXPECT_TRUE(UnarmorPayloadInto("15M", 6, &bits).IsInvalid());
 }
 
 // --- NMEA ----------------------------------------------------------------
@@ -275,9 +276,9 @@ PositionReport MakeClassA() {
 
 TEST(MessageTest, ClassARoundTrip) {
   const PositionReport original = MakeClassA();
-  const auto bits = EncodePositionReport(original);
+  const auto bits = EncodeMessagePacked(AisMessage(original));
   ASSERT_TRUE(bits.ok());
-  EXPECT_EQ(bits->size(), 168u);
+  EXPECT_EQ(bits->size_bits(), 168);
   const auto decoded = DecodeMessageBits(*bits);
   ASSERT_TRUE(decoded.ok());
   const auto& m = std::get<PositionReport>(*decoded);
@@ -301,7 +302,7 @@ TEST(MessageTest, ClassANotAvailableSentinels) {
   m.message_type = 3;
   m.mmsi = 247000001;
   // All defaults: position/speed/course not available.
-  const auto bits = EncodePositionReport(m);
+  const auto bits = EncodeMessagePacked(AisMessage(m));
   ASSERT_TRUE(bits.ok());
   const auto decoded = DecodeMessageBits(*bits);
   ASSERT_TRUE(decoded.ok());
@@ -315,7 +316,7 @@ TEST(MessageTest, ClassANotAvailableSentinels) {
 TEST(MessageTest, NegativeCoordinates) {
   PositionReport m = MakeClassA();
   m.position = GeoPoint(-33.8568, -70.6483);
-  const auto decoded = DecodeMessageBits(*EncodePositionReport(m));
+  const auto decoded = DecodeMessageBits(*EncodeMessagePacked(AisMessage(m)));
   ASSERT_TRUE(decoded.ok());
   const auto& d = std::get<PositionReport>(*decoded);
   EXPECT_NEAR(d.position.lat, -33.8568, 1e-4);
@@ -326,7 +327,8 @@ TEST(MessageTest, SpeedQuantization) {
   for (double sog : {0.0, 0.1, 5.55, 102.2}) {
     PositionReport m = MakeClassA();
     m.sog_knots = sog;
-    const auto decoded = DecodeMessageBits(*EncodePositionReport(m));
+    const auto decoded =
+        DecodeMessageBits(*EncodeMessagePacked(AisMessage(m)));
     const auto& d = std::get<PositionReport>(*decoded);
     EXPECT_NEAR(d.sog_knots, sog, 0.051) << "sog " << sog;
   }
@@ -344,9 +346,9 @@ TEST(MessageTest, BaseStationRoundTrip) {
   m.position = GeoPoint(43.0, 5.0);
   m.position_accurate = true;
   m.epfd_type = 1;
-  const auto bits = EncodeBaseStationReport(m);
+  const auto bits = EncodeMessagePacked(AisMessage(m));
   ASSERT_TRUE(bits.ok());
-  EXPECT_EQ(bits->size(), 168u);
+  EXPECT_EQ(bits->size_bits(), 168);
   const auto decoded = DecodeMessageBits(*bits);
   ASSERT_TRUE(decoded.ok());
   const auto& d = std::get<BaseStationReport>(*decoded);
@@ -379,9 +381,9 @@ TEST(MessageTest, StaticVoyageRoundTrip) {
   m.draught_m = 14.5;
   m.destination = "ROTTERDAM";
   m.dte = true;
-  const auto bits = EncodeStaticVoyageData(m);
+  const auto bits = EncodeMessagePacked(AisMessage(m));
   ASSERT_TRUE(bits.ok());
-  EXPECT_EQ(bits->size(), 424u);
+  EXPECT_EQ(bits->size_bits(), 424);
   const auto decoded = DecodeMessageBits(*bits);
   ASSERT_TRUE(decoded.ok());
   const auto& d = std::get<StaticVoyageData>(*decoded);
@@ -407,9 +409,9 @@ TEST(MessageTest, ClassBRoundTrip) {
   m.cog_deg = 201.5;
   m.true_heading = 200;
   m.utc_second = 12;
-  const auto bits = EncodePositionReport(m);
+  const auto bits = EncodeMessagePacked(AisMessage(m));
   ASSERT_TRUE(bits.ok());
-  EXPECT_EQ(bits->size(), 168u);
+  EXPECT_EQ(bits->size_bits(), 168);
   const auto decoded = DecodeMessageBits(*bits);
   ASSERT_TRUE(decoded.ok());
   const auto& d = std::get<PositionReport>(*decoded);
@@ -434,9 +436,9 @@ TEST(MessageTest, ExtendedClassBRoundTrip) {
   m.dim_to_stern_m = 8;
   m.dim_to_port_m = 3;
   m.dim_to_starboard_m = 3;
-  const auto bits = EncodeExtendedClassB(m);
+  const auto bits = EncodeMessagePacked(AisMessage(m));
   ASSERT_TRUE(bits.ok());
-  EXPECT_EQ(bits->size(), 312u);
+  EXPECT_EQ(bits->size_bits(), 312);
   const auto decoded = DecodeMessageBits(*bits);
   ASSERT_TRUE(decoded.ok());
   const auto& d = std::get<ExtendedClassBReport>(*decoded);
@@ -451,9 +453,9 @@ TEST(MessageTest, StaticDataPartARoundTrip) {
   m.mmsi = 228000111;
   m.part_number = 0;
   m.name = "ALBATROSS";
-  const auto bits = EncodeStaticDataReport(m);
+  const auto bits = EncodeMessagePacked(AisMessage(m));
   ASSERT_TRUE(bits.ok());
-  EXPECT_EQ(bits->size(), 160u);
+  EXPECT_EQ(bits->size_bits(), 160);
   const auto decoded = DecodeMessageBits(*bits);
   ASSERT_TRUE(decoded.ok());
   const auto& d = std::get<StaticDataReport>(*decoded);
@@ -472,9 +474,9 @@ TEST(MessageTest, StaticDataPartBRoundTrip) {
   m.dim_to_stern_m = 7;
   m.dim_to_port_m = 2;
   m.dim_to_starboard_m = 2;
-  const auto bits = EncodeStaticDataReport(m);
+  const auto bits = EncodeMessagePacked(AisMessage(m));
   ASSERT_TRUE(bits.ok());
-  EXPECT_EQ(bits->size(), 168u);
+  EXPECT_EQ(bits->size_bits(), 168);
   const auto decoded = DecodeMessageBits(*bits);
   ASSERT_TRUE(decoded.ok());
   const auto& d = std::get<StaticDataReport>(*decoded);
@@ -486,7 +488,7 @@ TEST(MessageTest, StaticDataPartBRoundTrip) {
 }
 
 TEST(MessageTest, UnsupportedTypeReported) {
-  BitWriter w;
+  PackedBitWriter w;
   w.WriteUnsigned(9, 6);  // SAR aircraft report, unsupported
   w.WriteUnsigned(0, 2);
   w.WriteUnsigned(111222333, 30);
@@ -495,8 +497,9 @@ TEST(MessageTest, UnsupportedTypeReported) {
 }
 
 TEST(MessageTest, TruncatedPayloadIsCorruption) {
-  const auto bits = EncodePositionReport(MakeClassA());
-  std::vector<uint8_t> truncated(bits->begin(), bits->begin() + 100);
+  const auto bits = EncodeMessagePacked(AisMessage(MakeClassA()));
+  PackedBits truncated = *bits;
+  truncated.Truncate(100);
   EXPECT_FALSE(DecodeMessageBits(truncated).ok());
 }
 

@@ -242,25 +242,6 @@ std::vector<TrajectoryPoint> SentinelComboPoints() {
   return points;
 }
 
-TEST(ArchiveRoundTripTest, TrajectoryValuePreservesAvailabilityBits) {
-  for (const TrajectoryPoint& p : SentinelComboPoints()) {
-    // The timestamp rides in the archival key, the kinematics in the value.
-    uint32_t mmsi = 0;
-    TrajectoryPoint out;
-    ASSERT_TRUE(
-        DecodeTrajectoryKey(EncodeTrajectoryKey(42, p.t), &mmsi, &out.t));
-    EXPECT_EQ(mmsi, 42u);
-    ASSERT_TRUE(DecodeTrajectoryValue(EncodeTrajectoryValue(p), &out));
-    EXPECT_EQ(out.t, p.t);
-    EXPECT_EQ(std::bit_cast<uint32_t>(out.sog_mps),
-              std::bit_cast<uint32_t>(p.sog_mps));
-    EXPECT_EQ(std::bit_cast<uint32_t>(out.cog_deg),
-              std::bit_cast<uint32_t>(p.cog_deg));
-    EXPECT_EQ(out.HasSpeed(), p.HasSpeed());
-    EXPECT_EQ(out.HasCourse(), p.HasCourse());
-  }
-}
-
 TEST(ArchiveRoundTripTest, PositionBlockPreservesAvailabilityBits) {
   const std::vector<TrajectoryPoint> points = SentinelComboPoints();
   PackedBits data;

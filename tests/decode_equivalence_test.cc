@@ -5,8 +5,9 @@
 // words (`PackedBits`, common/packed_bits.h). This suite pins the production
 // path to the exact behaviour of the pre-refactor decoder: the `ref`
 // namespace below is a frozen copy of the old string-allocating parser, and
-// its decode half runs the frozen byte-per-bit bit layer (`UnarmorPayload`
-// over a `std::vector<uint8_t>` of 0/1 plus the `BitReader` extraction) —
+// its decode half runs the frozen byte-per-bit codec of
+// tests/reference/byte_codec.h (`reference::UnarmorPayload` over a
+// `std::vector<uint8_t>` of 0/1 plus a field-by-field `BitReader` decode) —
 // so every stream test here is also the packed-vs-byte differential: each
 // corpus (valid, truncated, bad-checksum, multi-fragment, TAG-blocked,
 // garbage, plus the scenario sweep) replays through both, asserting
@@ -30,6 +31,7 @@
 #include "ais/sixbit.h"
 #include "common/alloc_probe.h"
 #include "common/strings.h"
+#include "reference/byte_codec.h"
 #include "sim/scenario.h"
 #include "sim/world.h"
 
@@ -253,13 +255,13 @@ class Decoder {
       ++stats_.pending_fragments;
       return std::nullopt;
     }
-    Result<std::vector<uint8_t>> bits =
-        UnarmorPayload((*assembled)->payload, (*assembled)->fill_bits);
+    Result<std::vector<uint8_t>> bits = reference::UnarmorPayload(
+        (*assembled)->payload, (*assembled)->fill_bits);
     if (!bits.ok()) {
       ++stats_.bad_payloads;
       return std::nullopt;
     }
-    Result<AisMessage> msg = DecodeMessageBits(*bits);
+    Result<AisMessage> msg = reference::DecodeMessageBits(*bits);
     if (!msg.ok()) {
       if (msg.status().IsNotImplemented()) {
         ++stats_.unsupported_types;
@@ -466,8 +468,8 @@ void ExpectStreamEquivalence(const std::vector<std::string>& corpus) {
     ++messages;
     ASSERT_EQ(expected->index(), actual->index()) << "line " << i;
     EXPECT_EQ(ReceivedAtOf(*expected), ReceivedAtOf(*actual)) << "line " << i;
-    const auto expected_bits = EncodeMessageBits(*expected);
-    const auto actual_bits = EncodeMessageBits(*actual);
+    const auto expected_bits = reference::EncodeMessageBits(*expected);
+    const auto actual_bits = reference::EncodeMessageBits(*actual);
     ASSERT_TRUE(expected_bits.ok() && actual_bits.ok()) << "line " << i;
     ASSERT_EQ(*expected_bits, *actual_bits) << "line " << i;
   }

@@ -244,32 +244,28 @@ TEST(ArchiveIntegrationTest, PipelinePersistsAndRecovers) {
 
   Mmsi probe_vessel = scenario.fleet.front().mmsi;
   size_t stored_points = 0;
+  PipelineConfig pc;
+  pc.archive.enabled = true;
+  pc.archive.directory = dir;
   {
-    LsmStore::Options lsm_opts;
-    lsm_opts.directory = dir;
-    auto archive = LsmStore::Open(lsm_opts);
-    ASSERT_TRUE(archive.ok());
-    PipelineConfig pc;
-    pc.store.archive = archive->get();
     MaritimePipeline pipeline(pc, &world.zones(), nullptr, nullptr, nullptr);
     pipeline.Run(scenario.nmea);
     const auto traj = pipeline.store().GetTrajectory(probe_vessel);
     ASSERT_TRUE(traj.ok());
     stored_points = (*traj)->points.size();
-    ASSERT_TRUE(archive->get()->Flush().ok());
   }
-  // Reopen the archive cold and read the history back.
-  LsmStore::Options lsm_opts;
-  lsm_opts.directory = dir;
-  auto archive = LsmStore::Open(lsm_opts);
-  ASSERT_TRUE(archive.ok());
-  TrajectoryStore::Options store_opts;
-  store_opts.archive = archive->get();
-  TrajectoryStore store(store_opts);
-  const auto loaded =
-      store.LoadFromArchive(probe_vessel, kMinTimestamp, kMaxTimestamp);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->points.size(), stored_points);
+  ASSERT_GT(stored_points, 0u);
+  // Reopen the sequential pipeline's partition cold and read the history
+  // back from its LSM store.
+  ArchiveOptions reopen = pc.archive;
+  reopen.recover_on_open = true;
+  const ShardArchive archive(reopen, dir + "/shard_0");
+  std::vector<TrajectoryPoint> loaded;
+  ASSERT_TRUE(archive
+                  .LoadVesselRange(probe_vessel, kMinTimestamp, kMaxTimestamp,
+                                   &loaded)
+                  .ok());
+  EXPECT_EQ(loaded.size(), stored_points);
   std::filesystem::remove_all(dir);
 }
 

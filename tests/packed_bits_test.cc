@@ -1,21 +1,23 @@
 // Packed-bits battery (CTest labels: equivalence, tsan-critical).
 //
-// PR 5 replaced the byte-per-bit payload representation with 64-bit packed
-// words (`PackedBits` + `PackedBitReader`/`PackedBitWriter`,
-// common/packed_bits.h) and moved the decode hot path onto it. The
-// byte-per-bit `BitWriter`/`BitReader`/`UnarmorPayload` layer is kept
-// verbatim as the frozen reference, and this suite proves the two
-// representations equivalent three ways:
+// Production decodes and encodes AIS payloads as 64-bit packed words
+// (`PackedBits` + `PackedBitReader`/`PackedBitWriter`,
+// common/packed_bits.h). The frozen byte-per-bit codec lives in
+// tests/reference/byte_codec.h (`reference::BitWriter`/`BitReader`, byte
+// armor/de-armor, a field-by-field decode and encode of every supported
+// type), and this suite proves the two representations equivalent three
+// ways:
 //
 //  1. randomized round-trip *property* tests on the packed reader/writer
 //     (random field scripts of widths 1..57 and beyond, sign extension,
 //     word-boundary straddles, fill-bit truncation, 6-bit strings);
 //  2. bit-for-bit *differential* tests of every primitive against the
-//     frozen byte implementation (writer output, armor/de-armor, statuses);
+//     reference (writer output, armor/de-armor, statuses);
 //  3. a payload *corpus differential*: valid / truncated / bad-fill /
 //     corrupted / multi-fragment payloads of every supported message type
 //     decode byte-identically (re-encoded bit streams and exact `Status`
-//     values) through the packed and the frozen byte path.
+//     values) through production and through the reference, whose layout
+//     code is written separately from production's wide-read layouts.
 //
 // The untouched-or-complete `UnarmorPayloadInto` contract and the
 // shard-concurrency independence of pooled decoder scratch are pinned here
@@ -36,6 +38,7 @@
 #include "ais/sixbit.h"
 #include "common/packed_bits.h"
 #include "common/rng.h"
+#include "reference/byte_codec.h"
 
 namespace marlin {
 namespace {
@@ -57,7 +60,7 @@ void ExpectBitsEqual(const std::vector<uint8_t>& byte_bits,
 /// Writes the same `width`-bit value to the frozen byte writer, splitting
 /// fields wider than its 32-bit limit (MSB-first, so the high chunk goes
 /// first).
-void ByteWriteWide(BitWriter* w, uint64_t value, int width) {
+void ByteWriteWide(reference::BitWriter* w, uint64_t value, int width) {
   if (width > 32) {
     w->WriteUnsigned(static_cast<uint32_t>(value >> 32), width - 32);
     w->WriteUnsigned(static_cast<uint32_t>(value), 32);
@@ -68,7 +71,7 @@ void ByteWriteWide(BitWriter* w, uint64_t value, int width) {
 
 /// Reads a `width`-bit value from the frozen byte reader, splitting wide
 /// fields the same way.
-uint64_t ByteReadWide(BitReader* r, int width) {
+uint64_t ByteReadWide(reference::BitReader* r, int width) {
   if (width > 32) {
     const uint64_t hi = *r->ReadUnsigned(width - 32);
     const uint64_t lo = *r->ReadUnsigned(32);
@@ -138,7 +141,7 @@ TEST(PackedBitPropertyTest, RandomFieldScriptsRoundTripAndMatchByteWriter) {
     std::vector<int> widths(nfields);
     std::vector<uint64_t> values(nfields);
     PackedBitWriter pw;
-    BitWriter bw;
+    reference::BitWriter bw;
     for (int i = 0; i < nfields; ++i) {
       widths[i] = 1 + static_cast<int>(rng.NextBounded(57));
       values[i] = rng.NextU64() & MaskOf(widths[i]);
@@ -148,7 +151,7 @@ TEST(PackedBitPropertyTest, RandomFieldScriptsRoundTripAndMatchByteWriter) {
     ExpectBitsEqual(bw.bits(), pw.bits());
 
     PackedBitReader pr(pw.bits());
-    BitReader br(bw.bits());
+    reference::BitReader br(bw.bits());
     for (int i = 0; i < nfields; ++i) {
       ASSERT_EQ(*pr.ReadUnsigned(widths[i]), values[i])
           << "trial " << trial << " field " << i << " width " << widths[i];
@@ -177,12 +180,12 @@ TEST(PackedBitPropertyTest, SignedFieldsSignExtend) {
     }
     // Differential vs the frozen 32-bit-capped signed reader.
     if (width <= 32) {
-      BitWriter bw;
+      reference::BitWriter bw;
       for (int64_t v : {lo, hi, int64_t{-1}, int64_t{0}, mid}) {
         bw.WriteSigned(static_cast<int32_t>(v), width);
       }
       ExpectBitsEqual(bw.bits(), w.bits());
-      BitReader br(bw.bits());
+      reference::BitReader br(bw.bits());
       PackedBitReader pr(w.bits());
       for (int i = 0; i < 5; ++i) {
         ASSERT_EQ(static_cast<int64_t>(*br.ReadSigned(width)),
@@ -229,7 +232,7 @@ TEST(PackedBitPropertyTest, SixBitStringsMatchByteWriterAndReader) {
       text.push_back(alphabet[rng.NextBounded(alphabet.size())]);
     }
     PackedBitWriter pw;
-    BitWriter bw;
+    reference::BitWriter bw;
     // A leading 3-bit pad so the string itself straddles word boundaries.
     pw.WriteUnsigned(0b101, 3);
     bw.WriteUnsigned(0b101, 3);
@@ -237,7 +240,7 @@ TEST(PackedBitPropertyTest, SixBitStringsMatchByteWriterAndReader) {
     bw.WriteString(text, chars);
     ExpectBitsEqual(bw.bits(), pw.bits());
     PackedBitReader pr(pw.bits());
-    BitReader br(bw.bits());
+    reference::BitReader br(bw.bits());
     ASSERT_TRUE(pr.Skip(3).ok());
     ASSERT_TRUE(br.Skip(3).ok());
     ASSERT_EQ(*pr.ReadString(chars), *br.ReadString(chars))
@@ -251,7 +254,7 @@ TEST(PackedArmorTest, ArmorAndUnarmorMatchBytePathBitForBit) {
   Rng rng(1704);
   for (int trial = 0; trial < 200; ++trial) {
     const int nbits = 1 + static_cast<int>(rng.NextBounded(430));
-    BitWriter bw;
+    reference::BitWriter bw;
     PackedBitWriter pw;
     for (int i = 0; i < nbits; ++i) {
       const uint32_t bit = static_cast<uint32_t>(rng.NextBounded(2));
@@ -260,14 +263,17 @@ TEST(PackedArmorTest, ArmorAndUnarmorMatchBytePathBitForBit) {
     }
     int byte_fill = 0;
     int packed_fill = 0;
-    const std::string byte_payload = ArmorBits(bw.bits(), &byte_fill);
+    const std::string byte_payload =
+        reference::ArmorBits(bw.bits(), &byte_fill);
     const std::string packed_payload = ArmorBits(pw.bits(), &packed_fill);
     ASSERT_EQ(byte_payload, packed_payload);
     ASSERT_EQ(byte_fill, packed_fill);
 
     std::vector<uint8_t> byte_bits;
     PackedBits packed_bits;
-    ASSERT_TRUE(UnarmorPayloadInto(byte_payload, byte_fill, &byte_bits).ok());
+    ASSERT_TRUE(
+        reference::UnarmorPayloadInto(byte_payload, byte_fill, &byte_bits)
+            .ok());
     ASSERT_TRUE(
         UnarmorPayloadInto(packed_payload, packed_fill, &packed_bits).ok());
     ExpectBitsEqual(byte_bits, packed_bits);
@@ -284,7 +290,7 @@ TEST(PackedArmorTest, FillBitTruncationSweep) {
       const std::string_view p(payload.data(), len);
       std::vector<uint8_t> byte_bits;
       PackedBits packed_bits;
-      const Status bs = UnarmorPayloadInto(p, fill, &byte_bits);
+      const Status bs = reference::UnarmorPayloadInto(p, fill, &byte_bits);
       const Status ps = UnarmorPayloadInto(p, fill, &packed_bits);
       ASSERT_EQ(bs, ps) << "len " << len << " fill " << fill;
       if (bs.ok()) ExpectBitsEqual(byte_bits, packed_bits);
@@ -303,7 +309,7 @@ TEST(PackedArmorTest, ErrorStatusesIdenticalAcrossPaths) {
   for (const auto& [payload, fill] : cases) {
     std::vector<uint8_t> byte_bits;
     PackedBits packed_bits;
-    const Status bs = UnarmorPayloadInto(payload, fill, &byte_bits);
+    const Status bs = reference::UnarmorPayloadInto(payload, fill, &byte_bits);
     const Status ps = UnarmorPayloadInto(payload, fill, &packed_bits);
     EXPECT_FALSE(bs.ok()) << payload;
     EXPECT_EQ(bs, ps) << payload;  // identical code *and* message
@@ -318,12 +324,12 @@ TEST(UnarmorContractTest, ByteBufferUntouchedOnEveryErrorPath) {
        std::vector<std::pair<std::string, int>>{
            {"ab\x19z", 0}, {"15M", 6}, {"15M", -1}, {"", 4}}) {
     std::vector<uint8_t> bits = sentinel;
-    EXPECT_FALSE(UnarmorPayloadInto(payload, fill, &bits).ok());
+    EXPECT_FALSE(reference::UnarmorPayloadInto(payload, fill, &bits).ok());
     EXPECT_EQ(bits, sentinel) << "payload \"" << payload << "\" fill " << fill;
   }
   // And complete on success: prior contents fully replaced.
   std::vector<uint8_t> bits = sentinel;
-  ASSERT_TRUE(UnarmorPayloadInto("w", 0, &bits).ok());
+  ASSERT_TRUE(reference::UnarmorPayloadInto("w", 0, &bits).ok());
   const std::vector<uint8_t> expected = {1, 1, 1, 1, 1, 1};  // 'w' -> 63
   EXPECT_EQ(bits, expected);
 }
@@ -415,32 +421,32 @@ std::vector<std::pair<std::string, int>> SupportedTypeCorpus() {
   }
   std::vector<std::pair<std::string, int>> corpus;
   for (const AisMessage& msg : messages) {
-    const auto bits = EncodeMessageBits(msg);
+    const auto bits = reference::EncodeMessageBits(msg);
     EXPECT_TRUE(bits.ok());
     int fill = 0;
-    std::string payload = ArmorBits(*bits, &fill);
+    std::string payload = reference::ArmorBits(*bits, &fill);
     corpus.emplace_back(std::move(payload), fill);
   }
   // An unsupported type (9, SAR aircraft) and a bad type-24 part number.
   {
-    BitWriter w;
+    reference::BitWriter w;
     w.WriteUnsigned(9, 6);
     w.WriteUnsigned(0, 2);
     w.WriteUnsigned(111222333, 30);
     for (int i = 0; i < 130; ++i) w.WriteUnsigned(0, 1);
     int fill = 0;
-    std::string payload = ArmorBits(w.bits(), &fill);
+    std::string payload = reference::ArmorBits(w.bits(), &fill);
     corpus.emplace_back(std::move(payload), fill);
   }
   {
-    BitWriter w;
+    reference::BitWriter w;
     w.WriteUnsigned(24, 6);
     w.WriteUnsigned(0, 2);
     w.WriteUnsigned(228000111, 30);
     w.WriteUnsigned(2, 2);  // invalid part number
     for (int i = 0; i < 120; ++i) w.WriteUnsigned(0, 1);
     int fill = 0;
-    std::string payload = ArmorBits(w.bits(), &fill);
+    std::string payload = reference::ArmorBits(w.bits(), &fill);
     corpus.emplace_back(std::move(payload), fill);
   }
   return corpus;
@@ -453,20 +459,20 @@ std::vector<std::pair<std::string, int>> SupportedTypeCorpus() {
 void ExpectPayloadDecodeEquivalent(std::string_view payload, int fill) {
   std::vector<uint8_t> byte_bits;
   PackedBits packed_bits;
-  const Status bs = UnarmorPayloadInto(payload, fill, &byte_bits);
+  const Status bs = reference::UnarmorPayloadInto(payload, fill, &byte_bits);
   const Status ps = UnarmorPayloadInto(payload, fill, &packed_bits);
   ASSERT_EQ(bs, ps) << "payload \"" << payload << "\" fill " << fill;
   if (!bs.ok()) return;
   ExpectBitsEqual(byte_bits, packed_bits);
 
-  const Result<AisMessage> byte_msg = DecodeMessageBits(byte_bits);
+  const Result<AisMessage> byte_msg = reference::DecodeMessageBits(byte_bits);
   const Result<AisMessage> packed_msg = DecodeMessageBits(packed_bits);
   ASSERT_EQ(byte_msg.status(), packed_msg.status())
       << "payload \"" << payload << "\" fill " << fill;
   if (!byte_msg.ok()) return;
   ASSERT_EQ(byte_msg->index(), packed_msg->index());
-  const auto byte_re = EncodeMessageBits(*byte_msg);
-  const auto packed_re = EncodeMessageBits(*packed_msg);
+  const auto byte_re = reference::EncodeMessageBits(*byte_msg);
+  const auto packed_re = reference::EncodeMessageBits(*packed_msg);
   ASSERT_TRUE(byte_re.ok() && packed_re.ok());
   ASSERT_EQ(*byte_re, *packed_re);
   // And through the packed encoder as well: the four path combinations
@@ -564,7 +570,9 @@ TEST(PackedConcurrencyTest, ParallelDecodersMatchSequentialByteForByte) {
     std::vector<std::vector<uint8_t>> out;
     for (const std::string& line : corpus) {
       const auto msg = decoder.Decode(line, 1700000000000ll);
-      if (msg.has_value()) out.push_back(*EncodeMessageBits(*msg));
+      if (msg.has_value()) {
+        out.push_back(*reference::EncodeMessageBits(*msg));
+      }
     }
     return out;
   };

@@ -99,13 +99,13 @@ TEST(DecoderFuzzTest, TruncatedTagBlocksRejected) {
 TEST(BitFuzzTest, RandomPayloadDecodeIsTotal) {
   Rng rng(0xCAFE);
   for (int i = 0; i < 5000; ++i) {
-    std::vector<uint8_t> bits;
+    PackedBitWriter w;
     const int n = 38 + static_cast<int>(rng.NextBounded(500));
     for (int b = 0; b < n; ++b) {
-      bits.push_back(static_cast<uint8_t>(rng.NextBounded(2)));
+      w.WriteUnsigned(rng.NextBounded(2), 1);
     }
     // Must either decode or fail with a Status — never crash or hang.
-    (void)DecodeMessageBits(bits);
+    (void)DecodeMessageBits(w.bits());
   }
 }
 

@@ -847,20 +847,6 @@ TEST(TrajectoryKeyTest, EncodingRoundTripAndOrder) {
   EXPECT_FALSE(DecodeTrajectoryKey("short", &mmsi, &t));
 }
 
-TEST(TrajectoryValueTest, RoundTrip) {
-  TrajectoryPoint p;
-  p.t = 123456;
-  p.position = GeoPoint(43.123456, -5.654321);
-  p.sog_mps = 7.7f;
-  p.cog_deg = 123.4f;
-  TrajectoryPoint out;
-  ASSERT_TRUE(DecodeTrajectoryValue(EncodeTrajectoryValue(p), &out));
-  EXPECT_DOUBLE_EQ(out.position.lat, p.position.lat);
-  EXPECT_DOUBLE_EQ(out.position.lon, p.position.lon);
-  EXPECT_FLOAT_EQ(out.sog_mps, p.sog_mps);
-  EXPECT_FLOAT_EQ(out.cog_deg, p.cog_deg);
-}
-
 // --- TrajectoryStore -------------------------------------------------------
 
 TEST(TrajectoryStoreTest, AppendAndRetrieve) {
@@ -952,32 +938,6 @@ TEST(TrajectoryStoreTest, TimeSliceInterpolates) {
   EXPECT_NEAR(slice[0].second.position.lat, 40.015, 1e-6);
   // Outside the observed span: no entry.
   EXPECT_TRUE(store.TimeSlice(1).empty());
-}
-
-TEST(TrajectoryStoreTest, ArchiveRoundTrip) {
-  auto archive = LsmStore::Open(LsmStore::Options{});
-  ASSERT_TRUE(archive.ok());
-  TrajectoryStore::Options opts;
-  opts.archive = archive->get();
-  TrajectoryStore store(opts);
-  const Trajectory traj = MakeLineTrajectory(228000009, 50, 30000);
-  for (const auto& p : traj.points) {
-    ASSERT_TRUE(store.Append(228000009, p).ok());
-  }
-  const auto loaded =
-      store.LoadFromArchive(228000009, traj.StartTime(), traj.EndTime());
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->points.size(), 50u);
-  for (size_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(loaded->points[i].t, traj.points[i].t);
-    EXPECT_DOUBLE_EQ(loaded->points[i].position.lat,
-                     traj.points[i].position.lat);
-  }
-  // Partial range.
-  const auto partial = store.LoadFromArchive(
-      228000009, traj.points[10].t, traj.points[19].t);
-  ASSERT_TRUE(partial.ok());
-  EXPECT_EQ(partial->points.size(), 10u);
 }
 
 }  // namespace

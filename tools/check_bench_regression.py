@@ -6,47 +6,38 @@ BENCH_f2_pipeline.json baseline and fails (exit 1) on a >2x regression.
 The 2x margin absorbs host differences between the recording machine and
 CI runners while still catching the failure modes these guard against.
 
-Four gates:
+Five gates, each on one named arm:
 
 * BM_DecodeMicro lines_per_s, packed arm (packed:1) — the production
   bit-packed decode path. Canary for per-line allocation, copying, or
-  byte-per-bit extraction sneaking back into the hot path. Older
-  baselines that predate the axis expose a single unsuffixed
-  BM_DecodeMicro entry, which is accepted as a fallback so the gate
-  stays comparable across the transition.
-* BM_QueueHop items_per_s, lock-free arm (spsc:1) — the SPSC ring
-  stage-to-stage hand-off. Canary for a lock, syscall, or unconditional
-  wake-up sneaking into the push/pop fast path. Baselines recorded
-  before the queue-hop bench existed simply skip this gate with a
-  notice.
+  byte-per-bit extraction sneaking back into the hot path.
+* BM_QueueHop items_per_s, lock-free singleton-batch arm
+  (spsc:1/batch:1) — the SPSC ring stage-to-stage hand-off. Canary for
+  a lock, syscall, or unconditional wake-up sneaking into the push/pop
+  fast path.
 * BM_QueryServing queries_per_s, single-reader finished-archive arm
   (readers:1/live:0) — the historical serving tier's fan-out/scan/merge
   path. Canary for index pruning breaking (every query degenerating to
   a full decode) or a lock sneaking into the snapshot read path. The
   concurrent/live arms are informational only: their numbers measure
-  scheduler contention on small hosts, not the serving tier. Baselines
-  recorded before the serving tier existed skip this gate with a
-  notice.
+  scheduler contention on small hosts, not the serving tier.
 * BM_AnomalyStage detectors_per_s, enabled arm (anomaly:1) — the
   integrity scorer + behaviour-change detector invocation rate. Canary
   for an allocation or a quadratic scan sneaking into the per-report /
-  per-point path of the anomaly & integrity stage. Baselines recorded
-  before the stage existed skip this gate with a notice.
+  per-point path of the anomaly & integrity stage.
 * BM_NetIngest lines_per_s, NMEA-line arm (frame:0) — loopback TCP
   replay through the epoll ingest server into the pipeline. Canary for
   a per-byte copy, per-frame allocation, or busy-spin sneaking into
-  the read-loop / frame-decode / drain hand-off path. Baselines
-  recorded before the network front door existed skip this gate with
-  a notice.
+  the read-loop / frame-decode / drain hand-off path.
 
 Usage:
   check_bench_regression.py <baseline.json> <current.json> [min_ratio]
 
 Both files are Google Benchmark JSON (--benchmark_format=json /
---benchmark_out). Exits 0 with a notice when the baseline predates a
-gated benchmark; current runs that merely filtered a benchmark out are
-skipped per-gate the same way (only gates whose benchmark ran are
-enforced, and at least one must have).
+--benchmark_out). A gated arm missing from the baseline is an error:
+the committed baseline records every gated arm. Current runs that
+merely filtered a benchmark out skip that gate with a notice (only
+gates whose benchmark ran are enforced, and at least one must have).
 """
 
 import json
@@ -59,22 +50,17 @@ def load_benchmarks(path):
 
 
 def decode_lines_per_s(benchmarks):
-    fallback = None
     for bench in benchmarks:
         name = bench.get("name", "")
         if not name.startswith("BM_DecodeMicro") or "lines_per_s" not in bench:
             continue
         if "packed:1" in name:
             return float(bench["lines_per_s"])
-        if "packed:0" not in name and fallback is None:
-            fallback = float(bench["lines_per_s"])
-    return fallback
+    return None
 
 
 def queue_hop_items_per_s(benchmarks):
-    # Prefer the singleton-batch arm (the worst case for hand-off
-    # overhead); fall back to any spsc:1 arm if the batch axis changes.
-    fallback = None
+    # The singleton-batch arm: the worst case for hand-off overhead.
     for bench in benchmarks:
         name = bench.get("name", "")
         if not name.startswith("BM_QueueHop") or "items_per_s" not in bench:
@@ -83,16 +69,13 @@ def queue_hop_items_per_s(benchmarks):
             continue
         if "batch:1/" in name or name.endswith("batch:1"):
             return float(bench["items_per_s"])
-        if fallback is None:
-            fallback = float(bench["items_per_s"])
-    return fallback
+    return None
 
 
 def query_serving_queries_per_s(benchmarks):
-    # Gate the uncontended single-reader arm against the finished archive
-    # (the only arm whose number is a property of the serving tier rather
-    # than of host scheduling); fall back to any arm if the axes change.
-    fallback = None
+    # The uncontended single-reader arm against the finished archive: the
+    # only arm whose number is a property of the serving tier rather than
+    # of host scheduling.
     for bench in benchmarks:
         name = bench.get("name", "")
         if not name.startswith("BM_QueryServing") or \
@@ -100,9 +83,7 @@ def query_serving_queries_per_s(benchmarks):
             continue
         if "readers:1/" in name and "live:0" in name:
             return float(bench["queries_per_s"])
-        if fallback is None:
-            fallback = float(bench["queries_per_s"])
-    return fallback
+    return None
 
 
 def anomaly_stage_detectors_per_s(benchmarks):
@@ -122,9 +103,7 @@ def anomaly_stage_detectors_per_s(benchmarks):
 def net_ingest_lines_per_s(benchmarks):
     # Gate the frame:0 (re-armored NMEA line) arm — the production wire
     # shape; the packed arm is informational (it measures the sender-side
-    # de-armoring saving, not the server). Fall back to any arm if the
-    # frame axis changes.
-    fallback = None
+    # de-armoring saving, not the server).
     for bench in benchmarks:
         name = bench.get("name", "")
         if not name.startswith("BM_NetIngest") or \
@@ -132,9 +111,7 @@ def net_ingest_lines_per_s(benchmarks):
             continue
         if "frame:0" in name:
             return float(bench["lines_per_s"])
-        if fallback is None:
-            fallback = float(bench["lines_per_s"])
-    return fallback
+    return None
 
 
 GATES = [
@@ -161,8 +138,8 @@ def main(argv):
     for label, extract, unit in GATES:
         baseline = extract(baseline_benchmarks)
         if baseline is None:
-            print(f"notice: {baseline_path} predates the {label} bench; "
-                  "skipping that gate")
+            print(f"error: {baseline_path} has no gated {label} entry")
+            failed = True
             continue
         current = extract(current_benchmarks)
         if current is None:
